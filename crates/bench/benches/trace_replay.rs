@@ -5,10 +5,12 @@
 //!
 //! This is the benchmark behind `perf_gate --fleet`: unlike the figure
 //! benches, which assert orderings in *virtual* time, this one gates how fast
-//! the simulator itself chews through a fleet trace. Someone serializing the
-//! event-driven core, reintroducing the lockstep sweep, or buffering
-//! per-request samples again shows up here as an events/sec drop or a
-//! `peak_sample_bytes` jump long before any virtual-time metric moves.
+//! the simulator itself chews through a fleet trace. Someone adding
+//! per-barrier overhead to the event-driven core, reintroducing the lockstep
+//! sweep, or buffering per-request samples again shows up here as an
+//! events/sec drop or a `peak_sample_bytes` jump long before any
+//! virtual-time metric moves. Replicas advance sequentially on one thread,
+//! so the figure does not depend on the host's core count.
 //!
 //! Three checks ride along:
 //!
@@ -209,10 +211,6 @@ fn main() {
                 ("events", JsonValue::Num(events as f64)),
                 ("events_per_sec", JsonValue::Num(events_per_sec)),
                 ("requests_per_sec", JsonValue::Num(requests_per_sec)),
-                (
-                    "advance_workers",
-                    JsonValue::Num(cluster.advance_workers() as f64),
-                ),
                 (
                     "peak_sample_bytes",
                     JsonValue::Num(peak_sample_bytes as f64),

@@ -15,9 +15,8 @@
 //! The run loop is an **event-driven core**: between barriers (request
 //! routing, migration deliveries, autoscaler checks) a min-heap of
 //! per-replica next-event times picks out only the replicas with due work,
-//! and those advance in parallel across a scoped worker pool
-//! ([`Cluster::set_advance_workers`]). A sequential full-sweep twin
-//! ([`Cluster::run_lockstep`]) is kept as the differential oracle; both
+//! and those advance one after another on the calling thread. A full-sweep
+//! twin ([`Cluster::run_lockstep`]) is kept as the differential oracle; both
 //! produce bit-identical reports. For fleet-scale trace replay,
 //! [`ServingConfig::streaming_metrics`] switches reporting to mergeable
 //! quantile sketches ([`crate::QuantileSketch`]) so report memory stays
@@ -31,8 +30,6 @@ use crate::trace::{FlightRecording, TraceEventKind, TraceRecorder};
 use crate::ServingConfig;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Prompt length (tokens) above which the decode-aware router treats a
 /// request as a "long prefill" and steers it away from decode-heavy
@@ -556,9 +553,6 @@ pub struct Cluster {
     roles: Vec<ReplicaRole>,
     /// KV-migration cost model for prefill→decode handoffs.
     migration: KvMigration,
-    /// Worker threads for parallel replica advancement between barriers
-    /// (see [`Cluster::set_advance_workers`]).
-    advance_workers: usize,
     /// Fleet-level trace recorder (autoscaler events), present iff the base
     /// config carries a [`crate::TraceConfig`]. Per-request events live in
     /// the replicas' own recorders; [`Cluster::flight_recording`] merges
@@ -590,21 +584,6 @@ fn pop_due(deliveries: &mut Vec<Delivery>, t: f64) -> Option<Delivery> {
         })
         .map(|(i, _)| i)?;
     Some(deliveries.swap_remove(best))
-}
-
-/// Default worker count for parallel replica advancement: the
-/// `POD_CLUSTER_THREADS` environment variable when set, otherwise the
-/// machine's available parallelism.
-fn default_advance_workers() -> usize {
-    std::env::var("POD_CLUSTER_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
 }
 
 /// One `(next_event_time, replica)` entry in the fleet's event queue.
@@ -703,11 +682,10 @@ impl ReplicaHeap {
 /// * **lockstep** (`heap: None`) — sweep every member sequentially, exactly
 ///   as the pre-event-driven cluster did; the differential oracle.
 /// * **event-driven** (`heap: Some`) — pop only the members whose next
-///   event is due from the [`ReplicaHeap`] and advance those, in parallel
-///   across the cluster's worker threads. Replicas interact only at
-///   barriers (routing, autoscaler checks, migration deliveries), so
-///   advancing the due set concurrently is deterministic and bit-identical
-///   to the sweep: skipped replicas would have been state no-ops (see
+///   event is due from the [`ReplicaHeap`] and advance those. Replicas
+///   interact only at barriers (routing, autoscaler checks, migration
+///   deliveries), so advancing just the due set is bit-identical to the
+///   sweep: skipped replicas would have been state no-ops (see
 ///   [`ServingEngine::next_event_time`]).
 #[derive(Debug)]
 struct Advancer {
@@ -753,8 +731,8 @@ impl Advancer {
     }
 
     /// Advance members to barrier time `t`: all of them (lockstep) or just
-    /// the due set (event-driven, in parallel across `workers` threads).
-    fn advance(&mut self, replicas: &mut [ServingEngine], t: f64, workers: usize) {
+    /// the due set (event-driven).
+    fn advance(&mut self, replicas: &mut [ServingEngine], t: f64) {
         match &mut self.heap {
             None => {
                 for &i in &self.members {
@@ -763,92 +741,23 @@ impl Advancer {
             }
             Some(heap) => {
                 heap.drain_due(t, &mut self.due);
-                par_for_each(select_muts(replicas, &self.due), workers, |r| {
-                    r.advance_to(t)
-                });
                 for &i in &self.due {
+                    replicas[i].advance_to(t);
                     heap.refresh(i, replicas[i].next_event_time());
                 }
             }
         }
     }
 
-    /// Run every member until drained — in parallel in event-driven mode
-    /// (the engines are independent), sequentially in lockstep.
-    fn drain(&mut self, replicas: &mut [ServingEngine], workers: usize) {
-        match &mut self.heap {
-            None => {
-                for &i in &self.members {
-                    replicas[i].run_until_drained();
-                }
-            }
-            Some(heap) => {
-                par_for_each(select_muts(replicas, &self.members), workers, |r| {
-                    r.run_until_drained()
-                });
-                for &i in &self.members {
-                    heap.refresh(i, replicas[i].next_event_time());
-                }
+    /// Run every member until drained.
+    fn drain(&mut self, replicas: &mut [ServingEngine]) {
+        for &i in &self.members {
+            replicas[i].run_until_drained();
+            if let Some(heap) = &mut self.heap {
+                heap.refresh(i, replicas[i].next_event_time());
             }
         }
     }
-}
-
-/// Mutable references to `replicas[i]` for each `i` in the strictly
-/// ascending index list `idxs`.
-fn select_muts<'a>(
-    replicas: &'a mut [ServingEngine],
-    idxs: &[usize],
-) -> Vec<&'a mut ServingEngine> {
-    let mut out = Vec::with_capacity(idxs.len());
-    let mut rest = replicas;
-    let mut base = 0usize;
-    for &i in idxs {
-        let (_, tail) = rest.split_at_mut(i - base);
-        let (head, tail) = tail.split_at_mut(1);
-        out.push(&mut head[0]);
-        rest = tail;
-        base = i + 1;
-    }
-    out
-}
-
-/// Apply `f` to every item, spreading the work across up to `workers`
-/// scoped threads through an atomic work queue (the bench harness's
-/// `par_map` worker-pool idiom). The items are independent, so the result
-/// is identical for every worker count; with one worker (or one item) it
-/// runs inline with no thread overhead.
-fn par_for_each<T, F>(items: Vec<&mut T>, workers: usize, f: F)
-where
-    T: Send,
-    F: Fn(&mut T) + Sync,
-{
-    let workers = workers.min(items.len());
-    if workers <= 1 {
-        for item in items {
-            f(item);
-        }
-        return;
-    }
-    let slots: Vec<Mutex<Option<&mut T>>> =
-        items.into_iter().map(|r| Mutex::new(Some(r))).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= slots.len() {
-                    break;
-                }
-                // Each index is claimed exactly once (fetch_add), so the
-                // slot is always still full; the mutex only makes the
-                // `&mut` hand-off to this thread safe.
-                if let Some(item) = slots[i].lock().expect("work slot lock").take() {
-                    f(item);
-                }
-            });
-        }
-    });
 }
 
 impl Cluster {
@@ -883,7 +792,6 @@ impl Cluster {
             in_streak: 0,
             roles: config.roles,
             migration: config.migration,
-            advance_workers: default_advance_workers(),
             tracer: config
                 .base
                 .tracing
@@ -910,7 +818,7 @@ impl Cluster {
     /// events). `None` unless the base config enabled tracing via
     /// [`ServingConfig::with_tracing`]. The index-order merge mirrors the
     /// streaming-metrics accumulator merge, so the recording is bit-for-bit
-    /// identical at every worker count.
+    /// identical between [`Cluster::run`] and [`Cluster::run_lockstep`].
     pub fn flight_recording(&self) -> Option<FlightRecording> {
         self.tracer.as_ref()?;
         let mut recording = FlightRecording::new();
@@ -927,19 +835,16 @@ impl Cluster {
         Some(recording)
     }
 
-    /// Set the number of worker threads used to advance due replicas
-    /// between barriers (clamped to at least 1). Defaults to the
-    /// `POD_CLUSTER_THREADS` environment variable, falling back to the
-    /// machine's available parallelism. Replicas interact only at
-    /// barriers, so every worker count produces bit-identical results —
-    /// pinned by tests; tune this purely for wall-clock.
-    pub fn set_advance_workers(&mut self, workers: usize) {
-        self.advance_workers = workers.max(1);
-    }
+    /// No-op, kept only for `perfbench/src/serving.rs`, which calls it.
+    /// Replicas advance sequentially on the calling thread.
+    #[doc(hidden)]
+    pub fn set_advance_workers(&mut self, _workers: usize) {}
 
-    /// Worker threads currently used for parallel replica advancement.
+    /// Always 1, kept only for `perfbench/src/serving.rs`, which calls it.
+    /// Replicas advance sequentially on the calling thread.
+    #[doc(hidden)]
     pub fn advance_workers(&self) -> usize {
-        self.advance_workers
+        1
     }
 
     /// Indices of replicas currently accepting new requests.
@@ -1051,12 +956,10 @@ impl Cluster {
     /// The run loop is **event-driven**: a min-heap of per-replica
     /// next-event times ([`ServingEngine::next_event_time`]) is interleaved
     /// with arrivals, migration deliveries and autoscaler checks, so only
-    /// replicas with work due before a barrier are stepped — and those are
-    /// stepped in parallel across [`Cluster::advance_workers`] threads.
-    /// Outcomes are bit-for-bit identical to the sequential full-sweep loop
-    /// ([`Cluster::run_lockstep`]) for every worker count: the event queue
-    /// changes when host work happens, never what virtual time things
-    /// happen at.
+    /// replicas with work due before a barrier are stepped. Outcomes are
+    /// bit-for-bit identical to the full-sweep loop
+    /// ([`Cluster::run_lockstep`]): the event queue changes when host work
+    /// happens, never what virtual time things happen at.
     ///
     /// Each call starts from a fresh fleet — replica engines, router cursor
     /// and assignment counts are reset first — so repeated `run`s on one
@@ -1069,8 +972,8 @@ impl Cluster {
         self.run_inner(specs, true)
     }
 
-    /// [`Cluster::run`] with the event queue and worker pool disabled:
-    /// every replica is swept sequentially to every barrier time, exactly
+    /// [`Cluster::run`] with the event queue disabled: every replica is
+    /// swept to every barrier time, exactly
     /// as the pre-event-driven cluster did. Kept as the differential oracle
     /// — the fuzz harness asserts `run` and `run_lockstep` produce
     /// identical reports for every generated configuration.
@@ -1109,13 +1012,13 @@ impl Cluster {
         let mut fleet = Advancer::new(members, event_driven, &self.replicas);
         for &i in order {
             let spec = specs[i];
-            fleet.advance(&mut self.replicas, spec.arrival, self.advance_workers);
+            fleet.advance(&mut self.replicas, spec.arrival);
             let target = self.route(&spec);
             self.replicas[target].submit(spec);
             self.assigned[target] += 1;
             fleet.notify(target, &self.replicas);
         }
-        fleet.drain(&mut self.replicas, self.advance_workers);
+        fleet.drain(&mut self.replicas);
     }
 
     /// The disaggregated serving loop: arrivals land on prefill-capable
@@ -1161,7 +1064,7 @@ impl Cluster {
         // prefill side and surfaces every remaining export. The deliveries
         // then drive the decode side in (time, seq) order, each landing
         // with decode state advanced to its delivery instant.
-        prompt_side.drain(&mut self.replicas, self.advance_workers);
+        prompt_side.drain(&mut self.replicas);
         self.collect_exports(bytes_per_token, &mut deliveries, &mut seq);
         deliveries.sort_by(|a, b| {
             a.at.partial_cmp(&b.at)
@@ -1169,10 +1072,10 @@ impl Cluster {
                 .then(a.seq.cmp(&b.seq))
         });
         for d in std::mem::take(&mut deliveries) {
-            decode_side.advance(&mut self.replicas, d.at, self.advance_workers);
+            decode_side.advance(&mut self.replicas, d.at);
             self.deliver(d, &mut decode_side);
         }
-        decode_side.drain(&mut self.replicas, self.advance_workers);
+        decode_side.drain(&mut self.replicas);
     }
 
     /// Advance the fleet to simulated time `t`, moving any KV chains whose
@@ -1189,13 +1092,13 @@ impl Cluster {
         prompt_side: &mut Advancer,
         decode_side: &mut Advancer,
     ) {
-        prompt_side.advance(&mut self.replicas, t, self.advance_workers);
+        prompt_side.advance(&mut self.replicas, t);
         self.collect_exports(bytes_per_token, deliveries, seq);
         while let Some(d) = pop_due(deliveries, t) {
-            decode_side.advance(&mut self.replicas, d.at, self.advance_workers);
+            decode_side.advance(&mut self.replicas, d.at);
             self.deliver(d, decode_side);
         }
-        decode_side.advance(&mut self.replicas, t, self.advance_workers);
+        decode_side.advance(&mut self.replicas, t);
     }
 
     /// Pull completed prefills off every prefill-only replica and schedule
@@ -1253,11 +1156,11 @@ impl Cluster {
         for &i in order {
             let spec = specs[i];
             while next_check <= spec.arrival {
-                fleet.advance(&mut self.replicas, next_check, self.advance_workers);
+                fleet.advance(&mut self.replicas, next_check);
                 self.autoscale_check(next_check, &scaler, true, &mut fleet);
                 next_check += scaler.interval;
             }
-            fleet.advance(&mut self.replicas, spec.arrival, self.advance_workers);
+            fleet.advance(&mut self.replicas, spec.arrival);
             let target = self.route(&spec);
             self.replicas[target].submit(spec);
             self.assigned[target] += 1;
@@ -1277,7 +1180,7 @@ impl Cluster {
             if !unfinished {
                 break;
             }
-            fleet.advance(&mut self.replicas, next_check, self.advance_workers);
+            fleet.advance(&mut self.replicas, next_check);
             self.autoscale_check(next_check, &scaler, false, &mut fleet);
             next_check += scaler.interval;
         }
@@ -1380,8 +1283,8 @@ impl Cluster {
     /// With streaming metrics enabled ([`ServingConfig::streaming_metrics`])
     /// the fleet statistics come from merging the replicas' quantile-sketch
     /// accumulators in replica-index order — constant memory, and
-    /// bit-identical for every advancement interleaving or worker count
-    /// because sketch merge is bucket-count addition. Otherwise every
+    /// bit-identical for every advancement interleaving because sketch
+    /// merge is bucket-count addition. Otherwise every
     /// request record is gathered and the exact percentiles are computed,
     /// as before.
     fn aggregate_over(&self, idxs: &[usize], per_replica: &[ServingReport]) -> ServingReport {
@@ -2178,45 +2081,6 @@ mod tests {
         assert!(
             event.scale_out_events > 0,
             "the burst must exercise scaling"
-        );
-    }
-
-    #[test]
-    fn advance_worker_count_never_changes_results() {
-        let schedule = RateSchedule::bursty(0.6, 5.0, 35.0, 10.0);
-        let specs = Workload::internal().generate_trace(40, &schedule, 91);
-        let mut cluster = Cluster::new(ClusterConfig::new(
-            base(),
-            4,
-            RouterPolicy::LeastOutstandingTokens,
-        ));
-        cluster.set_advance_workers(1);
-        let serial = cluster.run(specs.clone());
-        for workers in [2, 3, 8] {
-            cluster.set_advance_workers(workers);
-            let parallel = cluster.run(specs.clone());
-            assert_eq!(parallel, serial, "{workers} workers changed the report");
-            assert_eq!(
-                parallel.to_json().to_string_pretty(),
-                serial.to_json().to_string_pretty()
-            );
-        }
-
-        // Streaming metrics must be thread-count independent too: sketch
-        // merge order is fixed by replica index, not completion order.
-        let mut streaming = Cluster::new(ClusterConfig::new(
-            base().with_streaming_metrics(true),
-            4,
-            RouterPolicy::LeastOutstandingTokens,
-        ));
-        streaming.set_advance_workers(1);
-        let serial = streaming.run(specs.clone());
-        streaming.set_advance_workers(7);
-        let parallel = streaming.run(specs);
-        assert_eq!(parallel, serial);
-        assert_eq!(
-            parallel.to_json().to_string_pretty(),
-            serial.to_json().to_string_pretty()
         );
     }
 

@@ -31,15 +31,6 @@ use std::collections::{HashMap, VecDeque};
 /// a few hundred distinct signatures, far below this).
 const PRICE_CACHE_MAX_ENTRIES: usize = 1 << 16;
 
-/// Whether the batch-price cache is enabled by default. The `POD_PRICE_CACHE`
-/// environment variable is the escape hatch: set it to `0` to price every
-/// iteration exactly (e.g. when validating the quantization error).
-fn price_cache_default() -> bool {
-    std::env::var("POD_PRICE_CACHE")
-        .map(|v| v != "0")
-        .unwrap_or(true)
-}
-
 use attn_kernels::quantize_tokens;
 
 /// Quantized signature of a hybrid batch, the key of the price cache.
@@ -327,8 +318,8 @@ pub struct ServingConfig {
     /// HBM after weights).
     pub kv_capacity_tokens: Option<usize>,
     /// Whether the engine memoizes iteration prices by quantized batch
-    /// signature. Defaults to on; set the `POD_PRICE_CACHE=0` environment
-    /// variable (or this field) to price every iteration exactly.
+    /// signature. Defaults to on; set this field to `false` to price every
+    /// iteration exactly (e.g. when validating the quantization error).
     pub price_cache: bool,
     /// KV-cache residency policy (conservative admission vs. paged blocks
     /// with prefix sharing and preemption).
@@ -387,7 +378,7 @@ impl ServingConfig {
             attention: AttentionStrategy::FaSerial,
             max_batch_size: 256,
             kv_capacity_tokens: None,
-            price_cache: price_cache_default(),
+            price_cache: true,
             kv_policy: KvCachePolicy::Conservative,
             decode_dedup: false,
             admission: AdmissionPolicy::AdmitAll,
@@ -407,7 +398,7 @@ impl ServingConfig {
             attention: AttentionStrategy::FaSerial,
             max_batch_size: 256,
             kv_capacity_tokens: None,
-            price_cache: price_cache_default(),
+            price_cache: true,
             kv_policy: KvCachePolicy::Conservative,
             decode_dedup: false,
             admission: AdmissionPolicy::AdmitAll,

@@ -428,8 +428,8 @@ pub struct Request {
     /// Speculative draft-then-verify rounds this request has executed.
     /// Doubles as the deterministic round index for
     /// [`crate::AcceptanceModel`] draws: the draw for round `n` is a pure
-    /// function of `(seed, id, n)`, so replays and different worker counts
-    /// see identical acceptance outcomes.
+    /// function of `(seed, id, n)`, so replays and different stepping
+    /// orders see identical acceptance outcomes.
     pub spec_rounds: usize,
     /// Draft tokens this request's verify steps accepted (cumulative).
     pub draft_accepted: usize,

@@ -7,7 +7,7 @@
 //! cost, KV block traffic, and periodic timeline samples of occupancy and
 //! utilization — all stamped on the **virtual clock**, so a trace is a
 //! deterministic function of (workload, config, seed) and bit-for-bit
-//! identical at every cluster worker count.
+//! identical under the event-driven cluster core and its lockstep oracle.
 //!
 //! # Design rules
 //!
@@ -805,9 +805,9 @@ pub struct SpanOutcomes {
 /// A collected trace: per-replica event logs in replica-index order, plus
 /// cluster-level events (autoscaler actions) and the merged timeline
 /// summary. Replica-index-order concatenation is what makes recordings
-/// bit-for-bit reproducible at every cluster worker count — each replica's
-/// log is deterministic on the virtual clock, and the merge never depends
-/// on host-side interleaving.
+/// bit-for-bit reproducible — each replica's log is deterministic on the
+/// virtual clock, and the merge never depends on the order the host
+/// stepped replicas in.
 #[derive(Debug, Clone)]
 pub struct FlightRecording {
     /// Each replica's events, oldest first, in replica-index order.

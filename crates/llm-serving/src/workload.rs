@@ -103,7 +103,7 @@ impl Workload {
             loop {
                 let (rate, to_boundary) = schedule.rate_and_boundary(t);
                 if rate <= 0.0 {
-                    t += to_boundary;
+                    t = cross_boundary(t, to_boundary);
                     continue;
                 }
                 let segment_area = rate * to_boundary;
@@ -112,7 +112,7 @@ impl Workload {
                     break;
                 }
                 area -= segment_area;
-                t += to_boundary;
+                t = cross_boundary(t, to_boundary);
             }
             requests.push(self.sample_request(t, &mut rng));
         }
@@ -728,6 +728,18 @@ pub fn pd_ratio_workload(count: usize, total_tokens: usize, pd_ratio: f64) -> Ve
         .collect()
 }
 
+/// `t` moved `to_boundary` forward, onto the next rate segment. Near a
+/// boundary `to_boundary` can fall below half an ulp of `t`, so the sum
+/// rounds back to `t`; stepping one ulp instead keeps the integration moving.
+fn cross_boundary(t: f64, to_boundary: f64) -> f64 {
+    let next = t + to_boundary;
+    if next > t {
+        next
+    } else {
+        f64::from_bits(t.to_bits() + 1)
+    }
+}
+
 /// Sample a standard normal variate using the Box-Muller transform.
 fn standard_normal(rng: &mut SplitMix64) -> f64 {
     let u1: f64 = rng.next_f64().max(1e-12);
@@ -855,6 +867,34 @@ mod tests {
         ]);
         let reqs = Workload::internal().generate_trace(300, &schedule, 9);
         assert!(reqs.iter().all(|r| (r.arrival % 60.0) >= 30.0));
+    }
+
+    #[test]
+    fn boundaries_below_an_ulp_of_t_still_advance_the_trace() {
+        // Segment durations that are not binary fractions: near some
+        // boundaries the computed distance to the boundary drops below an
+        // ulp of `t`, and adding it no longer moves `t`.
+        let mut segments = Vec::new();
+        for i in 0..12 {
+            let phase = std::f64::consts::PI * (i as f64 + 0.5) / 6.0;
+            let qps = 60.0 + 70.0 * (1.0 - phase.cos());
+            segments.push(RateSegment { duration: 5.4, qps });
+            segments.push(RateSegment {
+                duration: 0.6,
+                qps: qps + 80.0,
+            });
+        }
+        let schedule = RateSchedule::new(segments);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let generator = std::thread::spawn(move || {
+            let _ = tx.send(Workload::internal().generate_trace(2000, &schedule, 1));
+        });
+        let reqs = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("generate_trace stalled or panicked at a segment boundary");
+        generator.join().expect("generator thread panicked");
+        assert_eq!(reqs.len(), 2000);
+        assert!(reqs.windows(2).all(|w| w[0].arrival <= w[1].arrival));
     }
 
     #[test]

@@ -15,10 +15,9 @@
 //! * prefill and decode token conservation: every finished request computed
 //!   exactly its prompt (minus prefix-cache hits, plus preemption recompute)
 //!   and generated exactly its output tokens;
-//! * the event-driven cluster core (with a random advancement worker count,
-//!   and sketch-backed streaming metrics on a slice of cases) produces
-//!   reports bit-identical to the sequential lockstep oracle
-//!   (`Cluster::run_lockstep`).
+//! * the event-driven cluster core (with sketch-backed streaming metrics on
+//!   a slice of cases) produces reports bit-identical to the lockstep
+//!   oracle (`Cluster::run_lockstep`).
 //!
 //! Cases fan out over a worker pool sized by `POD_TEST_THREADS` (default:
 //! available parallelism); every case is deterministic from its seed alone,
@@ -525,10 +524,7 @@ fn run_cluster_case(seed: u64) -> String {
     cluster_config.base = cluster_config.base.with_tracing(TraceConfig::new());
     let mut cluster = Cluster::new(cluster_config);
     // The differential oracle for the event-driven core: the event-queue
-    // run — under a random advancement worker count — must reproduce the
-    // sequential lockstep sweep bit for bit.
-    let workers = 1 + rng.next_usize(8);
-    cluster.set_advance_workers(workers);
+    // run must reproduce the lockstep sweep bit for bit.
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         cluster_case_body(&tag, &mut cluster, &specs)
     }));
@@ -540,7 +536,6 @@ fn run_cluster_case(seed: u64) -> String {
     // must fingerprint bit-identically.
     if seed % 16 == 3 {
         let mut untraced = Cluster::new(untraced_config);
-        untraced.set_advance_workers(workers);
         let fp = untraced.run(specs).to_json().to_string_pretty();
         assert_eq!(
             fp, fingerprint,
