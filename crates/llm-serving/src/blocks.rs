@@ -8,11 +8,12 @@
 //!   reference counts. A block is **free** (on the free list), **referenced**
 //!   (held by at least one live request) or **cached** (refcount zero but
 //!   still holding the KV of a previously computed prefix — reclaimable).
-//! * [`PrefixIndex`] is a radix trie over block-granular token fingerprints:
-//!   each node is one full block of `BLOCK_TOKENS` tokens, keyed by the
-//!   fingerprint hash of its content, child edges extending the prefix. A
-//!   request's prompt walks the trie and every matched node is a block of KV
-//!   it does not have to prefill.
+//! * [`PrefixIndex`] is a radix trie over block-granular token streams: each
+//!   node is one full block of `BLOCK_TOKENS` tokens, child edges extending
+//!   the prefix. An edge is keyed by the block's [`BlockKey`] — the tag run
+//!   that defines its tokens, which is exact, so no two different blocks
+//!   ever share a key. A request's prompt walks the trie and every matched
+//!   node is a block of KV it does not have to prefill.
 //! * **Copy-on-write on divergence:** when the walk ends mid-block — the
 //!   request's next tokens agree with a cached block for only part of its
 //!   span — the cached block is copied into a private block and the common
@@ -23,12 +24,20 @@
 //!   leaf, so long-dead conversations drain from the tail inward, exactly
 //!   like RadixAttention's leaf-first LRU.
 //!
+//! Inserting, matching and evicting a block are O(1) (plus the LRU set's
+//! O(log n)) and allocate nothing once the slab has grown: nodes link their
+//! children in an intrusive sibling list, and one pool-wide edge map serves
+//! lookups under the root and under nodes with two or more children. Only
+//! the copy-on-write probe that ends a walk visits every child of the last
+//! matched node, at O(1) per child.
+//!
 //! Everything is deterministic: ties break on allocation order, the LRU is a
 //! total order over `(last_use, node id)`, and no hash-map iteration order
 //! ever reaches a decision.
 
 use crate::request::PromptContent;
 use std::collections::{BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Tokens per KV-cache block (the paged-attention page size).
 pub const BLOCK_TOKENS: usize = 16;
@@ -71,25 +80,150 @@ impl Default for Cursor {
     }
 }
 
-/// Fingerprints of one full block of tokens.
-type BlockTokens = [u64; BLOCK_TOKENS];
+/// The content of one block of a [`PromptContent`] stream, exactly.
+///
+/// [`PromptContent::token_at`] fingerprints position `p` as
+/// `mix64(tag(p) ^ p·φ)`, where `tag(p)` is the prefix tag before
+/// `prefix_tokens` and the lineage tag after. `mix64` is a bijection, so at
+/// one stream position two fingerprints are equal exactly when the tags are.
+/// A block's 16 tags are one run of `head` followed by a run of `tail` from
+/// offset `split` on; a uniform block is stored as `head == tail`,
+/// `split == BLOCK_TOKENS`. That canonical form makes two keys equal exactly
+/// when the tag runs are, i.e. exactly when the blocks' fingerprints are —
+/// provided both blocks sit at the same stream position. Every prefix walk
+/// starts at the root, so a trie node's depth *is* its block index and all
+/// keys compared under one parent share a position.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct BlockKey {
+    head: u64,
+    tail: u64,
+    split: u8,
+}
+
+impl BlockKey {
+    /// Key of block `block_idx` of `content`'s stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`PromptContent::Opaque`], which has no token identity.
+    fn of(content: PromptContent, block_idx: usize) -> Self {
+        let PromptContent::Tokens {
+            prefix_tag,
+            prefix_tokens,
+            lineage_tag,
+        } = content
+        else {
+            panic!("block keys require shareable content");
+        };
+        let split = prefix_tokens
+            .saturating_sub(block_idx * BLOCK_TOKENS)
+            .min(BLOCK_TOKENS);
+        if split == 0 || split == BLOCK_TOKENS || prefix_tag == lineage_tag {
+            let tag = if split == 0 { lineage_tag } else { prefix_tag };
+            BlockKey {
+                head: tag,
+                tail: tag,
+                split: BLOCK_TOKENS as u8,
+            }
+        } else {
+            BlockKey {
+                head: prefix_tag,
+                tail: lineage_tag,
+                split: split as u8,
+            }
+        }
+    }
+
+    /// Length of the common leading token run of two blocks at the same
+    /// stream position: all of them if the keys are equal, none if the first
+    /// tags differ, otherwise up to the earlier of the two tag switches (in
+    /// canonical form a switch always changes the tag).
+    fn common_run(self, other: BlockKey) -> usize {
+        if self == other {
+            BLOCK_TOKENS
+        } else if self.head != other.head {
+            0
+        } else {
+            self.split.min(other.split) as usize
+        }
+    }
+}
+
+/// A multiply-rotate hasher in the style of rustc's `FxHasher`: edge keys
+/// are already well-mixed tags and small node ids, so one multiply per word
+/// is enough, and far cheaper than the default SipHash.
+#[derive(Debug, Clone, Copy, Default)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves its best bits high; the table indexes by the
+        // low ones.
+        self.0.rotate_left(26)
+    }
+}
+
+/// The pool-wide child map: `(parent, key) → child` for every child of the
+/// root and of each node with two or more children.
+type EdgeMap = HashMap<(u32, BlockKey), u32, BuildHasherDefault<FxHasher>>;
+
+/// The head of a node's (or the root's) intrusive child list.
+#[derive(Debug, Clone, Copy)]
+struct Children {
+    first: u32,
+    count: u32,
+}
+
+impl Default for Children {
+    fn default() -> Self {
+        Children {
+            first: NO_NODE,
+            count: 0,
+        }
+    }
+}
 
 /// One radix-trie node: a full block of tokens extending its parent's prefix.
 #[derive(Debug, Clone)]
 struct TrieNode {
     /// Parent node, or [`NO_NODE`] when the parent is the root.
     parent: u32,
-    /// Hash of `tokens` — this node's edge key in its parent's child map.
-    key: u64,
     /// The pool block holding this node's KV.
     block: u32,
-    /// The token fingerprints themselves, kept to resolve hash collisions
-    /// and to measure partial (copy-on-write) matches.
-    tokens: BlockTokens,
-    /// Children by content hash of the next block.
-    children: HashMap<u64, u32>,
+    /// This node's content: its edge key under `parent`.
+    key: BlockKey,
+    /// Block index in the stream (the root's children are at depth 0).
+    depth: u32,
     /// Logical time of the last walk through this node (LRU key).
     last_use: u64,
+    children: Children,
+    /// Neighbours in the parent's child list.
+    prev_sibling: u32,
+    next_sibling: u32,
 }
 
 /// A radix trie mapping block-granular token prefixes to cached block ids.
@@ -101,18 +235,21 @@ struct TrieNode {
 pub struct PrefixIndex {
     nodes: Vec<Option<TrieNode>>,
     free_nodes: Vec<u32>,
-    root_children: HashMap<u64, u32>,
+    /// Live nodes.
+    live: usize,
+    root: Children,
+    edges: EdgeMap,
 }
 
 impl PrefixIndex {
     /// Number of live nodes (cached or referenced prefix blocks).
     pub fn len(&self) -> usize {
-        self.nodes.iter().flatten().count()
+        self.live
     }
 
     /// Whether the index holds no prefixes at all.
     pub fn is_empty(&self) -> bool {
-        self.root_children.is_empty()
+        self.live == 0
     }
 
     fn node(&self, idx: u32) -> &TrieNode {
@@ -127,30 +264,56 @@ impl PrefixIndex {
             .expect("trie node id is live")
     }
 
-    fn children_of(&self, cursor: Cursor) -> &HashMap<u64, u32> {
-        if cursor.0 == NO_NODE {
-            &self.root_children
+    fn children(&self, parent: u32) -> Children {
+        if parent == NO_NODE {
+            self.root
         } else {
-            &self.node(cursor.0).children
+            self.node(parent).children
         }
     }
 
-    /// Child of `cursor` whose content is exactly `tokens`, if cached.
-    fn child_matching(&self, cursor: Cursor, tokens: &BlockTokens) -> Option<u32> {
-        let idx = *self.children_of(cursor).get(&hash_block(tokens))?;
-        // Verify content, not just the 64-bit hash, so a collision can never
-        // silently splice two different prefixes together.
-        (self.node(idx).tokens == *tokens).then_some(idx)
+    fn children_mut(&mut self, parent: u32) -> &mut Children {
+        if parent == NO_NODE {
+            &mut self.root
+        } else {
+            &mut self.node_mut(parent).children
+        }
     }
 
-    /// Insert a child under `cursor`. Returns `None` (leaving the trie
-    /// unchanged) if an equal-keyed child already exists — the caller's block
-    /// then simply stays private.
-    fn insert_child(&mut self, cursor: Cursor, tokens: BlockTokens, block: u32) -> Option<u32> {
-        let key = hash_block(&tokens);
-        if self.children_of(cursor).contains_key(&key) {
-            return None;
+    /// Block index of the blocks under `cursor`.
+    fn depth_below(&self, cursor: Cursor) -> usize {
+        if cursor.0 == NO_NODE {
+            0
+        } else {
+            self.node(cursor.0).depth as usize + 1
         }
+    }
+
+    /// The children of `parent`, in list order.
+    fn child_ids(&self, parent: u32) -> impl Iterator<Item = u32> + '_ {
+        std::iter::successors(
+            Some(self.children(parent).first).filter(|&c| c != NO_NODE),
+            |&c| Some(self.node(c).next_sibling).filter(|&n| n != NO_NODE),
+        )
+    }
+
+    /// Child of `cursor` whose content is exactly `key`, if cached.
+    fn child_matching(&self, cursor: Cursor, key: BlockKey) -> Option<u32> {
+        let children = self.children(cursor.0);
+        match children.count {
+            0 => None,
+            1 if cursor.0 != NO_NODE => {
+                (self.node(children.first).key == key).then_some(children.first)
+            }
+            _ => self.edges.get(&(cursor.0, key)).copied(),
+        }
+    }
+
+    /// Insert a child with content `key` under `cursor`, which must have no
+    /// child with that key yet.
+    fn insert_child(&mut self, cursor: Cursor, key: BlockKey, block: u32, last_use: u64) -> u32 {
+        let parent = cursor.0;
+        let depth = self.depth_below(cursor) as u32;
         let idx = match self.free_nodes.pop() {
             Some(i) => i,
             None => {
@@ -158,20 +321,35 @@ impl PrefixIndex {
                 (self.nodes.len() - 1) as u32
             }
         };
+        let old = self.children(parent);
         self.nodes[idx as usize] = Some(TrieNode {
-            parent: cursor.0,
-            key,
+            parent,
             block,
-            tokens,
-            children: HashMap::new(),
-            last_use: 0,
+            key,
+            depth,
+            last_use,
+            children: Children::default(),
+            prev_sibling: NO_NODE,
+            next_sibling: old.first,
         });
-        if cursor.0 == NO_NODE {
-            self.root_children.insert(key, idx);
-        } else {
-            self.node_mut(cursor.0).children.insert(key, idx);
+        if old.first != NO_NODE {
+            self.node_mut(old.first).prev_sibling = idx;
         }
-        Some(idx)
+        *self.children_mut(parent) = Children {
+            first: idx,
+            count: old.count + 1,
+        };
+        self.live += 1;
+        if parent != NO_NODE && old.count == 1 {
+            // The parent's single child moves into the edge map with it.
+            let only = self.node(old.first).key;
+            self.edges.insert((parent, only), old.first);
+        }
+        if parent == NO_NODE || old.count >= 1 {
+            let fresh = self.edges.insert((parent, key), idx);
+            debug_assert!(fresh.is_none(), "duplicate child key");
+        }
+        idx
     }
 
     /// Remove a (leaf) node, returning its block and its parent cursor.
@@ -179,14 +357,30 @@ impl PrefixIndex {
         let node = self.nodes[idx as usize]
             .take()
             .expect("evicting a live node");
-        debug_assert!(node.children.is_empty(), "only leaves are evictable");
-        if node.parent == NO_NODE {
-            self.root_children.remove(&node.key);
-        } else {
-            self.node_mut(node.parent).children.remove(&node.key);
-        }
+        debug_assert_eq!(node.children.count, 0, "only leaves are evictable");
         self.free_nodes.push(idx);
-        (node.block, Cursor(node.parent))
+        self.live -= 1;
+        let parent = node.parent;
+        if node.prev_sibling == NO_NODE {
+            self.children_mut(parent).first = node.next_sibling;
+        } else {
+            self.node_mut(node.prev_sibling).next_sibling = node.next_sibling;
+        }
+        if node.next_sibling != NO_NODE {
+            self.node_mut(node.next_sibling).prev_sibling = node.prev_sibling;
+        }
+        let children = self.children_mut(parent);
+        children.count -= 1;
+        let left = *children;
+        if parent == NO_NODE || left.count >= 1 {
+            self.edges.remove(&(parent, node.key));
+        }
+        if parent != NO_NODE && left.count == 1 {
+            // Back to a single child: it leaves the edge map.
+            let only = self.node(left.first).key;
+            self.edges.remove(&(parent, only));
+        }
+        (node.block, Cursor(parent))
     }
 }
 
@@ -337,7 +531,7 @@ impl BlockPool {
             let mut at = self.index.node(leaf).parent;
             while at != NO_NODE && seen.insert(at) {
                 let node = self.index.node(at);
-                if node.children.len() == 1 && self.states[node.block as usize].refs == 0 {
+                if node.children.count == 1 && self.states[node.block as usize].refs == 0 {
                     count += 1;
                     at = node.parent;
                 } else {
@@ -369,8 +563,15 @@ impl BlockPool {
             return None;
         }
         let mut out = Vec::with_capacity(n);
+        let mut next_victim = None;
         while out.len() < n {
-            let id = match self.take_free().or_else(|| self.evict_one()) {
+            // Evictions never refill the free list, so once one has run,
+            // every further block of this call comes from another eviction.
+            let more = out.len() + 1 < n;
+            let id = match self
+                .take_free()
+                .or_else(|| self.evict_one(&mut next_victim, more))
+            {
                 Some(id) => id,
                 None => {
                     // Roll back: nothing is handed out on failure.
@@ -388,13 +589,23 @@ impl BlockPool {
             self.referenced += 1;
             out.push(BlockId(id));
         }
+        debug_assert!(next_victim.is_none());
         Some(out)
     }
 
     /// Evict the least-recently-used evictable leaf, returning its block id.
-    fn evict_one(&mut self) -> Option<u32> {
-        let &(stamp, leaf) = self.evictable.iter().next()?;
-        self.evictable.remove(&(stamp, leaf));
+    ///
+    /// `next_victim` holds an evictable leaf kept out of `evictable` because
+    /// it precedes every leaf there: it is evicted first. With `more` (the
+    /// caller evicts again right after), a parent this eviction exposes goes
+    /// there instead of into the set when it is next in LRU order anyway —
+    /// the usual case while a dead chain drains from its tail — which saves
+    /// an insert and a pop per block.
+    fn evict_one(&mut self, next_victim: &mut Option<(u64, u32)>, more: bool) -> Option<u32> {
+        let (_, leaf) = match next_victim.take() {
+            Some(victim) => victim,
+            None => self.evictable.pop_first()?,
+        };
         let (block, parent) = self.index.remove_leaf(leaf);
         debug_assert_eq!(self.states[block as usize].refs, 0);
         self.states[block as usize].node = NO_NODE;
@@ -402,8 +613,13 @@ impl BlockPool {
         // The parent may now be an evictable leaf itself.
         if parent.0 != NO_NODE {
             let p = self.index.node(parent.0);
-            if p.children.is_empty() && self.states[p.block as usize].refs == 0 {
-                self.evictable.insert((p.last_use, parent.0));
+            if p.children.count == 0 && self.states[p.block as usize].refs == 0 {
+                let key = (p.last_use, parent.0);
+                if more && self.evictable.first().map_or(true, |&first| key < first) {
+                    *next_victim = Some(key);
+                } else {
+                    self.evictable.insert(key);
+                }
             }
         }
         Some(block)
@@ -425,7 +641,7 @@ impl BlockPool {
                 self.free.push(id);
             } else {
                 let node = self.index.node(state.node);
-                if node.children.is_empty() {
+                if node.children.count == 0 {
                     self.evictable.insert((node.last_use, state.node));
                 }
             }
@@ -470,8 +686,8 @@ impl BlockPool {
         let mut cursor = Cursor::root();
         let mut matched = 0usize;
         while matched + BLOCK_TOKENS <= limit_tokens {
-            let tokens = block_tokens(content, matched / BLOCK_TOKENS);
-            match self.index.child_matching(cursor, &tokens) {
+            let key = BlockKey::of(content, matched / BLOCK_TOKENS);
+            match self.index.child_matching(cursor, key) {
                 Some(idx) => {
                     cursor = Cursor(idx);
                     matched += BLOCK_TOKENS;
@@ -486,9 +702,9 @@ impl BlockPool {
     }
 
     /// Longest common leading run between `content`'s tokens from stream
-    /// position `from` and any child of `cursor`, capped at `limit`. Returns
-    /// `(length, child node)`. Deterministic: best length wins, ties break on
-    /// the smallest node id, so hash-map order never matters.
+    /// position `from` (a block boundary) and any child of `cursor`, capped
+    /// at `limit`. Returns `(length, child node)`. Deterministic: best length
+    /// wins, ties break on the smallest node id, so list order never matters.
     fn partial_match_len(
         &self,
         cursor: Cursor,
@@ -496,32 +712,40 @@ impl BlockPool {
         from: usize,
         limit_tokens: usize,
     ) -> (usize, Option<u32>) {
+        debug_assert_eq!(from % BLOCK_TOKENS, 0);
         let span = (limit_tokens - from).min(BLOCK_TOKENS);
         if span == 0 {
             return (0, None);
         }
-        let want: Vec<u64> = (0..span)
-            .map(|i| content.token_at(from + i).expect("shareable content"))
-            .collect();
+        let want = BlockKey::of(content, from / BLOCK_TOKENS);
         let mut best = (0usize, None);
-        for &child in self.index.children_of(cursor).values() {
-            let node = self.index.node(child);
-            let common = want
-                .iter()
-                .zip(node.tokens.iter())
-                .take_while(|(a, b)| a == b)
-                .count();
+        for child in self.index.child_ids(cursor.0) {
+            let common = want.common_run(self.index.node(child).key).min(span);
             let better = common > best.0
                 || (common == best.0 && common > 0 && best.1.is_some_and(|b| child < b));
             if better {
                 best = (common, Some(child));
             }
         }
-        if best.0 == 0 {
-            (0, None)
-        } else {
-            best
+        best
+    }
+
+    /// Take a reference on trie node `idx`'s block and stamp its recency;
+    /// returns the block.
+    fn pin(&mut self, idx: u32, stamp: u64) -> u32 {
+        let node = self.index.node_mut(idx);
+        let (block, old, leaf) = (node.block, node.last_use, node.children.count == 0);
+        node.last_use = stamp;
+        let state = &mut self.states[block as usize];
+        if state.refs == 0 {
+            self.referenced += 1;
+            // Leaving the cached set: no longer evictable.
+            if leaf {
+                self.evictable.remove(&(old, idx));
+            }
         }
+        state.refs += 1;
+        block
     }
 
     /// Walk the prefix index for `content` and acquire every matched block
@@ -544,20 +768,11 @@ impl BlockPool {
         self.tick += 1;
         let stamp = self.tick;
         while m.cached_tokens + BLOCK_TOKENS <= limit_tokens {
-            let tokens = block_tokens(content, m.cached_tokens / BLOCK_TOKENS);
-            let Some(idx) = self.index.child_matching(m.cursor, &tokens) else {
+            let key = BlockKey::of(content, m.cached_tokens / BLOCK_TOKENS);
+            let Some(idx) = self.index.child_matching(m.cursor, key) else {
                 break;
             };
-            let block = self.index.node(idx).block;
-            let state = &mut self.states[block as usize];
-            if state.refs == 0 {
-                self.referenced += 1;
-                // Leaving the cached set: no longer evictable.
-                let old = self.index.node(idx).last_use;
-                self.evictable.remove(&(old, idx));
-            }
-            state.refs += 1;
-            self.index.node_mut(idx).last_use = stamp;
+            let block = self.pin(idx, stamp);
             m.blocks.push(BlockId(block));
             m.cached_tokens += BLOCK_TOKENS;
             m.cursor = Cursor(idx);
@@ -566,17 +781,9 @@ impl BlockPool {
             self.partial_match_len(m.cursor, content, m.cached_tokens, limit_tokens);
         if extra > 0 {
             let child = child.expect("partial match has a source node");
-            let block = self.index.node(child).block;
             // Pin the source exactly like a full match, so it survives any
             // same-admission allocation; the caller releases it post-copy.
-            let state = &mut self.states[block as usize];
-            if state.refs == 0 {
-                self.referenced += 1;
-                let old = self.index.node(child).last_use;
-                self.evictable.remove(&(old, child));
-            }
-            self.states[block as usize].refs += 1;
-            self.index.node_mut(child).last_use = stamp;
+            let block = self.pin(child, stamp);
             m.cow_source = Some(BlockId(block));
             m.cached_tokens += extra;
         }
@@ -585,11 +792,11 @@ impl BlockPool {
 
     /// Register `blocks` — the caller's own, already-computed, full blocks
     /// starting at block index `start_block` of `content`'s stream — in the
-    /// prefix index, resuming from `cursor`. Returns the new cursor and how
-    /// many of `blocks` were registered (callers must not advance their
-    /// indexing watermark past a short count: the chain is shared or
-    /// collided there, and indexing from a stale cursor would splice wrong
-    /// prefixes together).
+    /// prefix index, resuming from `cursor`, which must sit at depth
+    /// `start_block`. Returns the new cursor and how many of `blocks` were
+    /// registered (callers must not advance their indexing watermark past a
+    /// short count: the chain is shared there, and indexing from a stale
+    /// cursor would splice wrong prefixes together).
     ///
     /// The caller must hold references to the blocks along `cursor`'s path
     /// (the engine always does: they are the request's acquired or own
@@ -606,31 +813,29 @@ impl BlockPool {
         blocks: &[BlockId],
     ) -> (Cursor, usize) {
         debug_assert!(content.is_shareable());
+        // Block keys are exact only between blocks at one stream position.
+        debug_assert_eq!(self.index.depth_below(cursor), start_block);
         let mut registered = 0usize;
         for (i, &BlockId(block)) in blocks.iter().enumerate() {
-            let tokens = block_tokens(content, start_block + i);
-            if self.index.child_matching(cursor, &tokens).is_some() {
+            let key = BlockKey::of(content, start_block + i);
+            if self.index.child_matching(cursor, key).is_some() {
                 // An equal chain already exists; following it would leave the
                 // caller with a cursor into blocks it does not reference.
                 break;
             }
             // Defensive: a cursor node gaining a child can no longer be an
-            // evictable leaf.
+            // evictable leaf. Only an unreferenced leaf can be in the set.
             if cursor.0 != NO_NODE {
-                let lu = self.index.node(cursor.0).last_use;
-                self.evictable.remove(&(lu, cursor.0));
-            }
-            match self.index.insert_child(cursor, tokens, block) {
-                Some(idx) => {
-                    debug_assert_eq!(self.states[block as usize].node, NO_NODE);
-                    self.states[block as usize].node = idx;
-                    self.index.node_mut(idx).last_use = self.tick;
-                    cursor = Cursor(idx);
-                    registered += 1;
+                let node = self.index.node(cursor.0);
+                if node.children.count == 0 && self.states[node.block as usize].refs == 0 {
+                    self.evictable.remove(&(node.last_use, cursor.0));
                 }
-                // Hash collision with different content: leave both private.
-                None => break,
             }
+            let idx = self.index.insert_child(cursor, key, block, self.tick);
+            debug_assert_eq!(self.states[block as usize].node, NO_NODE);
+            self.states[block as usize].node = idx;
+            cursor = Cursor(idx);
+            registered += 1;
         }
         (cursor, registered)
     }
@@ -641,26 +846,6 @@ impl BlockPool {
     }
 }
 
-/// Fingerprints of block `block_idx` of `content`'s stream.
-fn block_tokens(content: PromptContent, block_idx: usize) -> BlockTokens {
-    let base = block_idx * BLOCK_TOKENS;
-    std::array::from_fn(|i| {
-        content
-            .token_at(base + i)
-            .expect("block_tokens requires shareable content")
-    })
-}
-
-/// Hash of a block's token fingerprints (FNV-1a over the 64-bit ids).
-fn hash_block(tokens: &BlockTokens) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &t in tokens {
-        h ^= t;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -668,6 +853,117 @@ mod tests {
 
     fn content(lineage: u64) -> PromptContent {
         PromptContent::unique(lineage)
+    }
+
+    impl BlockPool {
+        /// Check every structural invariant of the pool and its index.
+        fn check_invariants(&self) {
+            let index = &self.index;
+            // The slab: live nodes plus recycled ids cover it exactly.
+            let live: Vec<u32> = (0..index.nodes.len() as u32)
+                .filter(|&i| index.nodes[i as usize].is_some())
+                .collect();
+            assert_eq!(index.len(), live.len(), "live-node counter");
+            assert_eq!(index.nodes.len(), live.len() + index.free_nodes.len());
+            // Child lists: the count matches the list, links are mutual, and
+            // keys are unique under each parent.
+            let mut edges = 0usize;
+            for parent in std::iter::once(NO_NODE).chain(live.iter().copied()) {
+                let children = index.children(parent);
+                let mut prev = NO_NODE;
+                let mut keys = std::collections::HashSet::new();
+                for child in index.child_ids(parent) {
+                    let node = index.node(child);
+                    assert_eq!(node.parent, parent);
+                    assert_eq!(node.prev_sibling, prev);
+                    assert_eq!(node.depth as usize, index.depth_below(Cursor(parent)));
+                    assert!(keys.insert(node.key), "duplicate key under {parent}");
+                    prev = child;
+                }
+                assert_eq!(
+                    children.count as usize,
+                    keys.len(),
+                    "child count of {parent}"
+                );
+                // The edge map holds exactly the root's edges and those of
+                // nodes with two or more children.
+                if parent == NO_NODE || children.count >= 2 {
+                    for child in index.child_ids(parent) {
+                        let key = (parent, index.node(child).key);
+                        assert_eq!(index.edges.get(&key), Some(&child));
+                        edges += 1;
+                    }
+                }
+            }
+            assert_eq!(index.edges.len(), edges, "stray edge-map entries");
+            // Every node's block points back at it.
+            for &id in &live {
+                assert_eq!(self.states[index.node(id).block as usize].node, id);
+            }
+            // `evictable` is exactly the set of unreferenced leaves.
+            let leaves: BTreeSet<(u64, u32)> = live
+                .iter()
+                .map(|&id| (id, index.node(id)))
+                .filter(|(_, n)| n.children.count == 0 && self.states[n.block as usize].refs == 0)
+                .map(|(id, n)| (n.last_use, id))
+                .collect();
+            assert_eq!(self.evictable, leaves, "evictable set");
+            // Free + referenced + cached blocks partition the capacity.
+            let referenced = self.states.iter().filter(|s| s.refs > 0).count();
+            let cached = self
+                .states
+                .iter()
+                .filter(|s| s.refs == 0 && s.node != NO_NODE)
+                .count();
+            let free = self.free.len() + (self.capacity_blocks - self.virgin as usize);
+            assert_eq!(referenced, self.referenced, "referenced counter");
+            assert_eq!(free + referenced + cached, self.capacity_blocks);
+        }
+    }
+
+    /// Fingerprints of block `block_idx` of `content`'s stream.
+    fn fingerprints(content: PromptContent, block_idx: usize) -> [u64; BLOCK_TOKENS] {
+        std::array::from_fn(|i| content.token_at(block_idx * BLOCK_TOKENS + i).unwrap())
+    }
+
+    /// Property: at one stream position, two blocks' keys are equal exactly
+    /// when their 16 token fingerprints are, and the O(1) common run equals
+    /// the fingerprints' common leading run for every span. The prefix
+    /// index's bit-for-bit equivalence with token-by-token matching rests on
+    /// these two facts.
+    #[test]
+    fn block_keys_match_exactly_when_fingerprints_do() {
+        let mut rng = SplitMix64::seed_from_u64(0x6E75_1A7E);
+        let draw = |rng: &mut SplitMix64| {
+            // Few distinct tags, so equal tags (and prefix == lineage) are
+            // common; prefix lengths of zero, on block boundaries, and
+            // mid-block.
+            let prefix_tag = 1 + rng.next_usize(3) as u64;
+            let lineage_tag = 1 + rng.next_usize(3) as u64;
+            let prefix_tokens = match rng.next_usize(3) {
+                0 => 0,
+                1 => BLOCK_TOKENS * rng.next_usize(4),
+                _ => rng.next_usize(4 * BLOCK_TOKENS),
+            };
+            PromptContent::shared(prefix_tag, prefix_tokens, lineage_tag)
+        };
+        let (mut equal, mut partial) = (0usize, 0usize);
+        for _ in 0..4000 {
+            let (a, b) = (draw(&mut rng), draw(&mut rng));
+            // Blocks before, straddling and past either prefix end.
+            for block in 0..5 {
+                let (fa, fb) = (fingerprints(a, block), fingerprints(b, block));
+                let (ka, kb) = (BlockKey::of(a, block), BlockKey::of(b, block));
+                assert_eq!(ka == kb, fa == fb, "{a:?} vs {b:?} at block {block}");
+                let run = fa.iter().zip(&fb).take_while(|(x, y)| x == y).count();
+                for span in 1..=BLOCK_TOKENS {
+                    assert_eq!(ka.common_run(kb).min(span), run.min(span));
+                }
+                equal += usize::from(ka == kb);
+                partial += usize::from(run > 0 && run < BLOCK_TOKENS);
+            }
+        }
+        assert!(equal > 0 && partial > 0, "the draw covers both cases");
     }
 
     #[test]
@@ -952,6 +1248,7 @@ mod tests {
                     "case {case} step {step}: populations must partition capacity"
                 );
                 assert!(pool.available_blocks() <= cached + free);
+                pool.check_invariants();
             }
             for (blocks, _, _) in live.drain(..) {
                 pool.release(&blocks);
@@ -965,5 +1262,129 @@ mod tests {
             // Everything cached is reclaimable once nothing is referenced.
             assert_eq!(pool.available_blocks(), capacity);
         }
+    }
+
+    /// FNV-1a fold of one value into a running digest.
+    fn fold(digest: &mut u64, value: u64) {
+        *digest ^= value;
+        *digest = digest.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+
+    /// One seeded run of mixed traffic under eviction pressure: system
+    /// prompts that end mid-block, prefix tags equal to lineage tags,
+    /// multi-turn lineages, match limits that stop mid-block (copy-on-write),
+    /// incremental indexing and releases. Returns a digest of every
+    /// `acquire_prefix` result and of `blocks_evicted` after every
+    /// operation, the number of acquisitions and the final eviction count.
+    fn seeded_traffic(seed: u64) -> (u64, usize, usize) {
+        // Prefix length per system-prompt group: mid-block, on a boundary,
+        // shorter than one block, and none at all.
+        const PREFIX_TOKENS: [usize; 4] = [43, 64, 9, 0];
+        struct Live {
+            blocks: Vec<BlockId>,
+            content: PromptContent,
+            indexed: usize,
+            cursor: Cursor,
+            stalled: bool,
+        }
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let mut pool = BlockPool::new((24 + rng.next_usize(40)) * BLOCK_TOKENS);
+        let mut live: Vec<Live> = Vec::new();
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut acquisitions = 0usize;
+        for _ in 0..400 {
+            match rng.next_usize(5) {
+                0 | 1 => {
+                    let group = rng.next_usize(PREFIX_TOKENS.len());
+                    let lineage = 100 + rng.next_usize(8) as u64;
+                    // Group 0 sometimes tags its prefix like the lineage.
+                    let prefix_tag = if group == 0 && rng.next_usize(4) == 0 {
+                        lineage
+                    } else {
+                        1 + group as u64
+                    };
+                    let content = PromptContent::shared(prefix_tag, PREFIX_TOKENS[group], lineage);
+                    let limit = 1 + rng.next_usize(8 * BLOCK_TOKENS);
+                    let m = pool.acquire_prefix(content, limit);
+                    acquisitions += 1;
+                    fold(&mut digest, m.blocks.len() as u64);
+                    for b in &m.blocks {
+                        fold(&mut digest, b.index() as u64);
+                    }
+                    fold(&mut digest, m.cached_tokens as u64);
+                    fold(
+                        &mut digest,
+                        m.cow_source.map_or(u64::MAX, |b| b.index() as u64),
+                    );
+                    let need = blocks_for(limit + 1) - m.blocks.len();
+                    match pool.alloc(need) {
+                        Some(fresh) => {
+                            let mut blocks = m.blocks;
+                            let indexed = blocks.len();
+                            blocks.extend(fresh);
+                            live.push(Live {
+                                blocks,
+                                content,
+                                indexed,
+                                cursor: m.cursor,
+                                stalled: false,
+                            });
+                        }
+                        None => pool.release(&m.blocks),
+                    }
+                    if let Some(cow) = m.cow_source {
+                        pool.release(&[cow]);
+                    }
+                }
+                2 | 3 => {
+                    if !live.is_empty() {
+                        let i = rng.next_usize(live.len());
+                        let r = &mut live[i];
+                        let upto = r.indexed + rng.next_usize(r.blocks.len() - r.indexed + 1);
+                        if !r.stalled && upto > r.indexed {
+                            let want = upto - r.indexed;
+                            let (cursor, registered) = pool.extend_index(
+                                r.cursor,
+                                r.content,
+                                r.indexed,
+                                &r.blocks[r.indexed..upto],
+                            );
+                            r.cursor = cursor;
+                            r.indexed += registered;
+                            r.stalled = registered < want;
+                        }
+                    }
+                }
+                _ => {
+                    if !live.is_empty() {
+                        let r = live.swap_remove(rng.next_usize(live.len()));
+                        pool.release(&r.blocks);
+                    }
+                }
+            }
+            fold(&mut digest, pool.blocks_evicted() as u64);
+            pool.check_invariants();
+        }
+        (digest, acquisitions, pool.blocks_evicted())
+    }
+
+    /// Golden: block ids, cached-token counts, copy-on-write sources and the
+    /// eviction count of seeded traffic are pinned, so any change to the
+    /// index's matching or to the LRU order shows up here. Captured from the
+    /// fingerprint-hash trie this index replaced.
+    #[test]
+    fn seeded_traffic_matches_golden() {
+        let mut digest = 0u64;
+        let mut acquisitions = 0usize;
+        let mut evicted = 0usize;
+        for seed in 0..16 {
+            let (d, a, e) = seeded_traffic(0x601D_0000 + seed);
+            fold(&mut digest, d);
+            acquisitions += a;
+            evicted += e;
+        }
+        assert_eq!(digest, 0x2d9f_d834_43d6_fc1e);
+        assert_eq!(acquisitions, 2563);
+        assert_eq!(evicted, 1174);
     }
 }

@@ -24,10 +24,10 @@
 //!   prefill/decode-aware), with fleet-level percentiles and replica
 //!   imbalance in [`ClusterReport`].
 //! * [`BlockPool`] / [`PrefixIndex`] — the prefix-sharing paged KV-cache
-//!   block subsystem: ref-counted blocks, a radix trie over token-fingerprint
-//!   chunks, copy-on-write on divergence and LRU eviction. Enabled per
-//!   config via [`KvCachePolicy::Paged`]; requests carry [`PromptContent`]
-//!   stream identities, shared-prefix traces come from
+//!   block subsystem: ref-counted blocks, a radix trie of full blocks keyed
+//!   by their exact token content, copy-on-write on divergence and LRU
+//!   eviction. Enabled per config via [`KvCachePolicy::Paged`]; requests
+//!   carry [`PromptContent`] stream identities, shared-prefix traces come from
 //!   [`SharedPrefixWorkload`], and [`RouterPolicy::PrefixAffinity`] routes
 //!   on cached-prefix length.
 //! * [`SloSpec`] / [`SloMix`] / [`AdmissionPolicy`] / [`AutoscalerConfig`] —
