@@ -26,7 +26,7 @@ use crate::engine::{PrefillHandoff, ServingEngine};
 use crate::json::JsonValue;
 use crate::metrics::{ReportAccumulator, ServingReport};
 use crate::request::{Request, RequestSpec};
-use crate::trace::{FlightRecording, TraceEventKind, TraceRecorder};
+use crate::trace::{emit, FlightRecording, TraceEventKind, TraceRecorder};
 use crate::ServingConfig;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -1235,14 +1235,10 @@ impl Cluster {
             self.lifecycle.push(ReplicaLife::new(now));
             self.assigned.push(0);
             self.scale_out_events += 1;
-            if let Some(rec) = self.tracer.as_mut() {
-                rec.record(
-                    now,
-                    TraceEventKind::ScaleOut {
-                        replicas: self.replicas.len(),
-                    },
-                );
-            }
+            let replicas = self.replicas.len();
+            emit(&mut self.tracer, now, || TraceEventKind::ScaleOut {
+                replicas,
+            });
             self.peak_active = self.peak_active.max(active.len() + 1);
             self.out_streak = 0;
             self.in_streak = 0;
@@ -1256,9 +1252,9 @@ impl Cluster {
                 .expect("active set is non-empty");
             self.lifecycle[victim].state = ReplicaState::Draining;
             self.scale_in_events += 1;
-            if let Some(rec) = self.tracer.as_mut() {
-                rec.record(now, TraceEventKind::ScaleIn { replica: victim });
-            }
+            emit(&mut self.tracer, now, || TraceEventKind::ScaleIn {
+                replica: victim,
+            });
             self.in_streak = 0;
             self.out_streak = 0;
             // Its not-yet-started requests re-route through the normal

@@ -10,21 +10,29 @@
 //! pre-stepping reports bit-for-bit; the multi-replica layer in
 //! [`crate::Cluster`] interleaves many engines on a shared virtual clock
 //! through the same `step` entry point.
+//!
+//! `step` is a fixed sequence of named phases, one method each: admit
+//! arrivals, adopt imports, prepare decodes, select the front, plan, the
+//! idle outcome, price, apply, account, and emit. Every KV residency
+//! decision is an operation of [`KvCacheManager`] (`kvcache.rs`), the one
+//! module that matches on the [`KvCachePolicy`]. Per-feature state lives in
+//! small structs with one hook each: `Speculation`, `Migration` and
+//! `FairQueue`.
 
-use crate::blocks::{blocks_for, BlockId, Cursor, KvChain, BLOCK_TOKENS};
-use crate::kvcache::KvCacheManager;
+use crate::blocks::KvChain;
+use crate::kvcache::{KvCacheManager, KvCachePolicy, Queues};
 use crate::linear::IterationCostModel;
 use crate::metrics::{ReportAccumulator, ServingReport};
 use crate::model::ModelConfig;
-use crate::request::{Phase, Priority, Request, RequestSpec, TenantId};
-use crate::scheduler::{plan_batch, AdmissionDecision, BatchPlan, SchedulerKind};
+use crate::request::{Phase, Request, RequestSpec, TenantId};
+use crate::scheduler::{plan_batch, BatchPlan, SchedulerKind};
 use crate::speculative::{AcceptanceModel, DecodeMode};
-use crate::trace::{FlightRecording, TraceConfig, TraceEventKind, TraceRecorder};
+use crate::trace::{emit, FlightRecording, TraceConfig, TraceEventKind, TraceRecorder};
 use attn_kernels::{
     canonical_decodes, AttentionStrategy, DecodeRequest, HybridBatch, PrefillChunk,
 };
 use gpu_sim::GpuConfig;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Upper bound on resident price-cache entries; reaching it clears the cache
 /// (a trivially correct eviction policy — in practice serving sweeps produce
@@ -108,52 +116,6 @@ impl BatchSignature {
     }
 }
 
-/// How the engine manages KV-cache residency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KvCachePolicy {
-    /// Sarathi-Serve's conservative rule: a request is admitted only when
-    /// its full prompt **plus expected output** fits, and is never preempted.
-    /// The historical default; golden tests pin it bit-for-bit.
-    Conservative,
-    /// Paged residency over the block subsystem ([`crate::BlockPool`]):
-    /// admission allocates blocks for the prompt only, decode tokens grow
-    /// the allocation on demand, and when growth exhausts the pool the most
-    /// recently started decode is preempted (swap-out) and later restored by
-    /// recomputing its KV.
-    Paged {
-        /// Whether prompts are matched against the radix prefix index so
-        /// shared prefixes skip prefill (with copy-on-write on divergence
-        /// and LRU eviction of dead prefixes). With this off, the paged
-        /// policy is pure on-demand paging + preemption.
-        prefix_caching: bool,
-    },
-}
-
-impl KvCachePolicy {
-    /// Report-label fragment (empty for the conservative default).
-    pub fn label_suffix(&self) -> &'static str {
-        match self {
-            KvCachePolicy::Conservative => "",
-            KvCachePolicy::Paged {
-                prefix_caching: false,
-            } => "+paged",
-            KvCachePolicy::Paged {
-                prefix_caching: true,
-            } => "+prefix",
-        }
-    }
-
-    /// Whether this policy runs the prefix index.
-    pub fn prefix_caching(&self) -> bool {
-        matches!(
-            self,
-            KvCachePolicy::Paged {
-                prefix_caching: true
-            }
-        )
-    }
-}
-
 /// SLO-aware admission control: what to do with a queued request whose
 /// deadline can no longer be met.
 ///
@@ -178,7 +140,7 @@ pub enum AdmissionPolicy {
 
 impl AdmissionPolicy {
     /// Whether `req` should be shed rather than admitted at time `now`.
-    fn should_shed(&self, req: &Request, now: f64) -> bool {
+    pub(crate) fn should_shed(&self, req: &Request, now: f64) -> bool {
         match self {
             AdmissionPolicy::AdmitAll => false,
             AdmissionPolicy::DeadlineShed => {
@@ -217,7 +179,7 @@ impl AdmissionPolicy {
 /// identical** to a fairness-free run — the inertness pin the golden tests
 /// and `fig20_fairness` rely on.
 ///
-/// `preempt_priorities` additionally lets a strictly higher-[`Priority`]
+/// `preempt_priorities` additionally lets a strictly higher-[`Priority`](crate::Priority)
 /// request at the queue front evict lower-priority running decodes through
 /// the existing paged preemption path (swap-out + recompute) when the block
 /// pool is what blocks its admission. Requires [`KvCachePolicy::Paged`];
@@ -291,17 +253,20 @@ impl FairQueueConfig {
 /// consumes and returns the config so they chain:
 ///
 /// * [`ServingConfig::with_paged_kv`] — paged KV blocks / prefix caching
+/// * [`ServingConfig::with_decode_dedup`] — prefix-shared decode (KV dedup)
 /// * [`ServingConfig::with_admission`] — SLO-aware shedding
 /// * [`ServingConfig::with_streaming_metrics`] — constant-memory reports
+/// * [`ServingConfig::with_speculative`] — speculative draft-then-verify
 /// * [`ServingConfig::with_fair_queue`] — multi-tenant fairness / priorities
+/// * [`ServingConfig::with_tracing`] — request-lifecycle flight recorder
 ///
 /// [`ClusterConfig`](crate::ClusterConfig) wraps a `ServingConfig` for a
 /// replica fleet and follows the same convention
 /// ([`ClusterConfig::with_roles`](crate::ClusterConfig::with_roles),
 /// [`ClusterConfig::with_autoscaler`](crate::ClusterConfig::with_autoscaler),
 /// [`ClusterConfig::with_fair_queue`](crate::ClusterConfig::with_fair_queue)),
-/// as does per-request construction via
-/// [`RequestSpec::builder`](crate::RequestSpec::builder).
+/// as does per-request construction:
+/// [`RequestSpec::new`](crate::RequestSpec::new) plus its `with_*` methods.
 #[derive(Debug, Clone)]
 pub struct ServingConfig {
     /// The model being served.
@@ -392,20 +357,8 @@ impl ServingConfig {
     /// Sarathi-Serve with FlashAttention kernels (the paper's "Sarathi").
     pub fn sarathi(model: ModelConfig, gpu: GpuConfig, chunk_size: usize) -> Self {
         ServingConfig {
-            model,
-            gpu,
             scheduler: SchedulerKind::Sarathi { chunk_size },
-            attention: AttentionStrategy::FaSerial,
-            max_batch_size: 256,
-            kv_capacity_tokens: None,
-            price_cache: true,
-            kv_policy: KvCachePolicy::Conservative,
-            decode_dedup: false,
-            admission: AdmissionPolicy::AdmitAll,
-            streaming_metrics: false,
-            decode_mode: DecodeMode::Autoregressive,
-            fair_queue: None,
-            tracing: None,
+            ..ServingConfig::vllm(model, gpu)
         }
     }
 
@@ -510,31 +463,12 @@ impl ServingConfig {
             ""
         };
         let attn = match self.attention {
-            AttentionStrategy::Pod => "+POD",
-            AttentionStrategy::FaSerial => "",
-            other => {
-                return format!(
-                    "{}[{}]{}{}{}{}{}",
-                    self.scheduler.label(),
-                    other,
-                    kv,
-                    dedup,
-                    adm,
-                    fair,
-                    spec
-                )
-            }
+            AttentionStrategy::Pod => "+POD".to_string(),
+            AttentionStrategy::FaSerial => String::new(),
+            other => format!("[{other}]"),
         };
-        format!(
-            "{}{}{}{}{}{}{}",
-            self.scheduler.label(),
-            attn,
-            kv,
-            dedup,
-            adm,
-            fair,
-            spec
-        )
+        let scheduler = self.scheduler.label();
+        format!("{scheduler}{attn}{kv}{dedup}{adm}{fair}{spec}")
     }
 }
 
@@ -608,27 +542,230 @@ struct PendingImport {
     chain: KvChain,
 }
 
-/// Per-request paged-KV state: its block table and how far its chain is
-/// registered in the prefix index.
-#[derive(Debug, Clone, Default)]
-struct RequestKv {
-    /// Blocks backing this request's context, in stream order. The leading
-    /// `shared` entries were acquired from the prefix cache.
-    blocks: Vec<BlockId>,
-    /// Trie position after the last indexed block.
-    cursor: Cursor,
-    /// Leading blocks registered in the prefix index (shared or own).
-    indexed: usize,
-    /// Leading blocks acquired from the cache at admission.
-    shared: usize,
-    /// Indexing hit an existing equal chain (a concurrent identical prompt
-    /// won the race); further blocks stay private.
-    index_stalled: bool,
+/// Speculative decoding's per-replica state: the round parameters, the
+/// drafter's cost model and the round counters. Present exactly when the
+/// config decodes speculatively.
+#[derive(Debug, Clone)]
+struct Speculation {
+    /// Draft tokens proposed per round.
+    k: usize,
+    acceptance: AcceptanceModel,
+    /// Iteration cost model of the draft model (`None` for a free drafter):
+    /// prices the `k` draft proposal passes each round runs before its
+    /// verify step.
+    draft_cost: Option<IterationCostModel>,
+    /// Draft-then-verify rounds executed (one per decode per iteration).
+    rounds: usize,
+    /// Draft tokens verification accepted, summed over all rounds.
+    accepted: usize,
+    /// Draft tokens verification rejected and rolled back, summed over all
+    /// rounds.
+    rejected: usize,
 }
 
-/// Mutable simulation state of one replica: queues, KV cache, clock and the
-/// price cache. Kept separate from the engine's immutable configuration so
-/// `step` can borrow the cost model and the state independently.
+impl Speculation {
+    /// Time the drafter spends proposing `k` tokens for each of the plan's
+    /// decodes: `k` decode-only passes over the same contexts as the target
+    /// batch. Zero for a free drafter or without decodes, so speculation
+    /// can never be priced cheaper than the verify work the target batch
+    /// already carries.
+    fn draft_time(
+        &self,
+        attention: AttentionStrategy,
+        plan: &BatchPlan,
+        requests: &[Request],
+    ) -> f64 {
+        let Some(cost) = &self.draft_cost else {
+            return 0.0;
+        };
+        if plan.decodes.is_empty() {
+            return 0.0;
+        }
+        let batch = HybridBatch {
+            prefill: None,
+            decodes: decode_side(plan, requests),
+            kv_dedup_tokens: 0,
+            spec_verify_tokens: 0,
+        };
+        self.k as f64 * cost.iteration_time(&batch, attention)
+    }
+
+    /// Draw each planned decode's round outcome up front. Outcomes are pure
+    /// functions of (seed, request id, round), so they — and everything
+    /// downstream — are identical across thread counts, replica layouts and
+    /// replays.
+    fn outcomes(&self, plan: &BatchPlan, requests: &[Request]) -> Vec<SpecOutcome> {
+        plan.decodes
+            .iter()
+            .map(|&rid| {
+                let req = &requests[rid];
+                let width = req.spec_width(self.k);
+                let accepted = self.acceptance.accepted(rid, req.spec_rounds, width);
+                SpecOutcome {
+                    width,
+                    accepted,
+                    minted: AcceptanceModel::minted(accepted, width),
+                }
+            })
+            .collect()
+    }
+
+    /// After the mint: advance round indices, tally the accept/reject
+    /// counters, release the KV tail a rollback stranded, and trace each
+    /// round.
+    fn settle(
+        &mut self,
+        plan: &BatchPlan,
+        outcomes: &[SpecOutcome],
+        requests: &mut [Request],
+        kv: &mut KvCacheManager,
+        recorder: &mut Option<TraceRecorder>,
+        now: f64,
+    ) {
+        for (&rid, o) in plan.decodes.iter().zip(outcomes) {
+            let rejected = o.width - o.accepted;
+            let req = &mut requests[rid];
+            req.spec_rounds += 1;
+            req.draft_accepted += o.accepted;
+            req.draft_rejected += rejected;
+            self.rounds += 1;
+            self.accepted += o.accepted;
+            self.rejected += rejected;
+            if o.minted < o.width {
+                kv.truncate(req);
+            }
+            emit(recorder, now, || TraceEventKind::SpecRound {
+                request: rid,
+                width: o.width,
+                accepted: o.accepted,
+                minted: o.minted,
+            });
+        }
+    }
+}
+
+/// Disaggregated serving's per-replica state: parked exports, in-flight
+/// imports and the migration counters.
+#[derive(Debug, Clone, Default)]
+struct Migration {
+    /// Requests that completed prefill and are parked for migration pickup
+    /// (prefill-export mode only), with their already-serialized KV chains.
+    /// The KV residency is released the moment a request parks — the
+    /// transfer is modeled as overlappable communication that does not
+    /// occupy source HBM — so parked exports can never deadlock admission.
+    exports: Vec<(usize, KvChain)>,
+    /// Migrated-in requests waiting on transfer completion / residency,
+    /// ordered by `available_at` (ties keep insertion order).
+    imports: VecDeque<PendingImport>,
+    /// Requests handed off to a decode replica from here.
+    migrated_out: usize,
+    /// Requests that resumed decoding here after a handoff.
+    migrated_in: usize,
+    /// KV tokens shipped out of this replica across all handoffs.
+    tokens_out: usize,
+    /// Total seconds migrated-in requests spent between first token (on the
+    /// source) and decode admission here (transfer + residency queueing).
+    stall_time: f64,
+}
+
+impl Migration {
+    /// The earliest import whose transfer has completed by `now`.
+    fn due(&self, now: f64) -> Option<&PendingImport> {
+        self.imports.front().filter(|imp| imp.available_at <= now)
+    }
+}
+
+/// Fair queueing's per-replica state (see [`FairQueueConfig`]).
+#[derive(Debug, Clone)]
+struct FairQueue {
+    config: FairQueueConfig,
+    /// Per-tenant virtual-token counters, sorted by tenant id. A tenant's
+    /// counter advances by `scheduled prefill tokens / weight`.
+    vtime: Vec<(TenantId, f64)>,
+    /// Monotone floor of the virtual clock: the smallest counter among
+    /// tenants competing at the most recent selection. Tenants activating
+    /// (first request, or returning from idle) are lifted to it so virtual
+    /// time cannot be banked while away.
+    floor: f64,
+}
+
+impl FairQueue {
+    /// Mutable virtual-time counter of `tenant`, created at the current
+    /// floor on first sight (the activation lift).
+    fn vtime_entry(&mut self, tenant: TenantId) -> &mut f64 {
+        let i = match self.vtime.binary_search_by_key(&tenant, |&(t, _)| t) {
+            Ok(i) => i,
+            Err(i) => {
+                self.vtime.insert(i, (tenant, self.floor));
+                i
+            }
+        };
+        &mut self.vtime[i].1
+    }
+
+    /// Give the waiting-queue slot right after the admitted (mid-prefill)
+    /// entries to the best candidate — highest [`Priority`](crate::Priority)
+    /// first, then the tenant with the smallest virtual-token counter, then
+    /// the smallest tenant id, then queue order. Every other waiting request
+    /// keeps its relative order, so this is order-preserving (hence
+    /// bit-for-bit inert) whenever the FIFO front is already the best
+    /// candidate — in particular always for single-tenant, single-priority
+    /// traces.
+    fn select(&mut self, requests: &[Request], waiting: &mut VecDeque<usize>, kv: &KvCacheManager) {
+        let start = kv.admitted_prefix(waiting);
+        if waiting.len().saturating_sub(start) < 2 {
+            return;
+        }
+        // Activation lift + floor advance: every competing tenant enters the
+        // race at no less than the current floor, and the floor ratchets to
+        // the smallest competing counter so idle tenants cannot bank credit.
+        for &rid in waiting.range(start..) {
+            let floor = self.floor;
+            let v = self.vtime_entry(requests[rid].spec.tenant);
+            *v = v.max(floor);
+        }
+        let min_active = waiting
+            .range(start..)
+            .map(|&rid| *self.vtime_entry(requests[rid].spec.tenant))
+            .fold(f64::INFINITY, f64::min);
+        self.floor = self.floor.max(min_active);
+        // Pick the best candidate; strict improvement keeps FIFO on ties.
+        let mut best = start;
+        for pos in start + 1..waiting.len() {
+            let (b, c) = (&requests[waiting[best]].spec, &requests[waiting[pos]].spec);
+            let bv = *self.vtime_entry(b.tenant);
+            let cv = *self.vtime_entry(c.tenant);
+            if c.priority > b.priority
+                || (c.priority == b.priority && (cv < bv || (cv == bv && c.tenant < b.tenant)))
+            {
+                best = pos;
+            }
+        }
+        if best != start {
+            let rid = waiting.remove(best).expect("best is in bounds");
+            waiting.insert(start, rid);
+        }
+    }
+
+    /// Bill `tokens` scheduled prefill tokens to `tenant`, weighted.
+    fn bill(&mut self, tenant: TenantId, tokens: usize) {
+        let weight = self.config.weight(tenant);
+        *self.vtime_entry(tenant) += tokens as f64 / weight;
+    }
+}
+
+/// Memoized iteration prices by quantized batch signature.
+#[derive(Debug, Clone, Default)]
+struct PriceCache {
+    entries: HashMap<BatchSignature, f64>,
+    hits: usize,
+    misses: usize,
+}
+
+/// Mutable simulation state of one replica: queues, KV residency, clock and
+/// the per-feature state. Kept separate from the engine's immutable
+/// configuration so the phases of `step` can borrow the cost model and the
+/// state independently.
 #[derive(Debug, Clone)]
 struct EngineState {
     requests: Vec<Request>,
@@ -636,58 +773,21 @@ struct EngineState {
     arrivals: VecDeque<usize>,
     waiting: VecDeque<usize>,
     running: Vec<usize>,
-    reserved: Vec<bool>,
-    /// Paged-KV bookkeeping, parallel to `requests` (unused under the
-    /// conservative policy).
-    tables: Vec<RequestKv>,
+    /// KV residency: the block pool, the policy, and every request's
+    /// admission and block table.
     kv: KvCacheManager,
     clock: f64,
     iterations: usize,
     hybrid_iterations: usize,
     busy_time: f64,
-    price_cache: HashMap<BatchSignature, f64>,
-    cache_hits: usize,
-    cache_misses: usize,
+    prices: PriceCache,
     /// Prefill tokens actually scheduled (cached-prefix tokens never are).
     prefill_tokens_scheduled: usize,
-    /// Prompt tokens satisfied from the prefix cache at admissions.
-    cached_prefix_tokens: usize,
-    /// Cached blocks acquired (shared) across all admissions.
-    blocks_reused: usize,
-    /// Copy-on-write block copies made at admissions.
-    cow_copies: usize,
-    /// Decode KV tokens whose HBM reads were deduped away by prefix-shared
-    /// decode grouping, summed over iterations (0 unless
-    /// [`ServingConfig::decode_dedup`] is active).
-    decode_kv_tokens_deduped: usize,
-    /// Decode preemptions (swap-outs) forced by pool exhaustion.
-    preemptions: usize,
-    /// Speculative draft-then-verify rounds executed (one per decode per
-    /// iteration in speculative mode; 0 otherwise).
-    spec_rounds: usize,
-    /// Draft tokens verification accepted, summed over all rounds.
-    draft_tokens_accepted: usize,
-    /// Draft tokens verification rejected and rolled back, summed over all
-    /// rounds.
-    draft_tokens_rejected: usize,
-    /// Requests that completed prefill and are parked for migration pickup
-    /// (prefill-export mode only), with their already-serialized KV chains.
-    /// The KV residency is released the moment a request parks — the
-    /// transfer is modeled as overlappable communication that does not
-    /// occupy source HBM — so parked exports can never deadlock admission.
-    pending_export: Vec<(usize, KvChain)>,
-    /// Migrated-in requests waiting on transfer completion / residency,
-    /// ordered by `available_at` (ties keep insertion order).
-    pending_imports: VecDeque<PendingImport>,
-    /// Requests handed off to a decode replica from here.
-    migrated_out: usize,
-    /// Requests that resumed decoding here after a handoff.
-    migrated_in: usize,
-    /// KV tokens shipped out of this replica across all handoffs.
-    migrated_tokens_out: usize,
-    /// Total seconds migrated-in requests spent between first token (on the
-    /// source) and decode admission here (transfer + residency queueing).
-    migration_stall_time: f64,
+    /// `Some` exactly when the config decodes speculatively.
+    spec: Option<Speculation>,
+    migration: Migration,
+    /// `Some` exactly when the config carries a [`FairQueueConfig`].
+    fair: Option<FairQueue>,
     /// Streaming-metrics accumulator (`Some` exactly when the config's
     /// `streaming_metrics` is on): finished and shed requests fold in here
     /// the moment they happen, after which their token-time buffers are
@@ -699,16 +799,6 @@ struct EngineState {
     /// High-water mark of `live_token_samples`. In streaming mode this stays
     /// bounded by in-flight work instead of growing with the whole trace.
     peak_token_samples: usize,
-    /// Per-tenant virtual-token counters for fair queueing, sorted by tenant
-    /// id (empty and untouched unless the config carries a
-    /// [`FairQueueConfig`]). A tenant's counter advances by
-    /// `scheduled prefill tokens / weight`.
-    fair_vtime: Vec<(TenantId, f64)>,
-    /// Monotone floor of the virtual clock: the smallest counter among
-    /// tenants competing at the most recent selection. Tenants activating
-    /// (first request, or returning from idle) are lifted to it so virtual
-    /// time cannot be banked while away.
-    fair_floor: f64,
     /// Flight recorder (`Some` exactly when the config carries a
     /// [`TraceConfig`]): every lifecycle / iteration / KV / migration event
     /// lands here, stamped on the virtual clock. Purely observational —
@@ -717,243 +807,47 @@ struct EngineState {
 }
 
 impl EngineState {
-    fn new(kv_capacity: usize, streaming_metrics: bool, tracing: Option<&TraceConfig>) -> Self {
+    fn new(config: &ServingConfig, kv_capacity: usize, spec: Option<Speculation>) -> Self {
         EngineState {
             requests: Vec::new(),
             arrivals: VecDeque::new(),
             waiting: VecDeque::new(),
             running: Vec::new(),
-            reserved: Vec::new(),
-            tables: Vec::new(),
-            kv: KvCacheManager::new(kv_capacity),
+            kv: KvCacheManager::with_policy(kv_capacity, config.kv_policy, config.decode_dedup),
             clock: 0.0,
             iterations: 0,
             hybrid_iterations: 0,
             busy_time: 0.0,
-            price_cache: HashMap::new(),
-            cache_hits: 0,
-            cache_misses: 0,
+            prices: PriceCache::default(),
             prefill_tokens_scheduled: 0,
-            cached_prefix_tokens: 0,
-            blocks_reused: 0,
-            cow_copies: 0,
-            decode_kv_tokens_deduped: 0,
-            preemptions: 0,
-            spec_rounds: 0,
-            draft_tokens_accepted: 0,
-            draft_tokens_rejected: 0,
-            pending_export: Vec::new(),
-            pending_imports: VecDeque::new(),
-            migrated_out: 0,
-            migrated_in: 0,
-            migrated_tokens_out: 0,
-            migration_stall_time: 0.0,
-            accumulator: streaming_metrics.then(ReportAccumulator::new),
+            spec,
+            migration: Migration::default(),
+            fair: config.fair_queue.clone().map(|config| FairQueue {
+                config,
+                vtime: Vec::new(),
+                floor: 0.0,
+            }),
+            accumulator: config.streaming_metrics.then(ReportAccumulator::new),
             live_token_samples: 0,
             peak_token_samples: 0,
-            fair_vtime: Vec::new(),
-            fair_floor: 0.0,
-            recorder: tracing.map(|cfg| TraceRecorder::new(cfg.clone())),
+            recorder: config
+                .tracing
+                .as_ref()
+                .map(|cfg| TraceRecorder::new(cfg.clone())),
         }
     }
 
-    /// Record one trace event at time `t` if tracing is on — the single
-    /// choke point every instrumentation site goes through, so tracing off
-    /// is one branch on a `None`.
-    #[inline]
-    fn trace(&mut self, t: f64, kind: impl FnOnce() -> TraceEventKind) {
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.record(t, kind());
-        }
-    }
-
-    /// Mutable virtual-time counter of `tenant`, created at the current
-    /// floor on first sight (the activation lift).
-    fn fair_vtime_entry(&mut self, tenant: TenantId) -> &mut f64 {
-        let i = match self.fair_vtime.binary_search_by_key(&tenant, |&(t, _)| t) {
-            Ok(i) => i,
-            Err(i) => {
-                self.fair_vtime.insert(i, (tenant, self.fair_floor));
-                i
-            }
+    /// The KV manager and the queues its preempting operations touch,
+    /// borrowed apart.
+    fn kv_and_queues(&mut self) -> (&mut KvCacheManager, Queues<'_>) {
+        let queues = Queues {
+            requests: &mut self.requests,
+            waiting: &mut self.waiting,
+            running: &mut self.running,
+            recorder: &mut self.recorder,
+            now: self.clock,
         };
-        &mut self.fair_vtime[i].1
-    }
-
-    /// Preempt a decoding request: reclaim its blocks (indexed ones stay
-    /// cached for its own restore or other sharers), move it to the front of
-    /// the waiting queue, and mark the full recompute it owes.
-    fn preempt(&mut self, rid: usize) {
-        let table = std::mem::take(&mut self.tables[rid]);
-        let t = self.clock;
-        self.trace(t, || TraceEventKind::Preempt { request: rid });
-        let freed = table.blocks.len();
-        self.trace(t, || TraceEventKind::KvFree {
-            request: rid,
-            blocks: freed,
-        });
-        self.kv.release_blocks(&table.blocks);
-        self.requests[rid].preempt();
-        self.running.retain(|&r| r != rid);
-        self.reserved[rid] = false;
-        // Re-queue ahead of unadmitted work but *behind* any already-admitted
-        // (mid-prefill) request: that one holds blocks, and only the queue
-        // front ever gets scheduled — parking an unadmittable victim in front
-        // of it would starve the one request able to free capacity.
-        let at = self
-            .waiting
-            .iter()
-            .take_while(|&&r| self.reserved[r])
-            .count();
-        self.waiting.insert(at, rid);
-        self.preemptions += 1;
-    }
-
-    /// Ensure every request that will decode this iteration has a block for
-    /// its next token — or, in speculative mode, for its whole drafted
-    /// width of up to `spec_k` tokens (speculative allocation; the rejected
-    /// tail is released after verification) — preempting the most recently
-    /// started decodes when the pool is exhausted (LIFO victim selection:
-    /// the youngest decode loses the least recomputation). `spec_k = 0`
-    /// (autoregressive) grows by exactly one token, bit-for-bit the
-    /// pre-speculation arithmetic.
-    fn grow_decode_blocks(&mut self, decode_cap: usize, spec_k: usize) {
-        let mut i = 0;
-        while i < self.running.len().min(decode_cap) {
-            let rid = self.running[i];
-            let width = self.requests[rid].spec_width(spec_k);
-            let needed = blocks_for(self.requests[rid].context_len() + width);
-            if self.tables[rid].blocks.len() >= needed {
-                i += 1;
-                continue;
-            }
-            let short = needed - self.tables[rid].blocks.len();
-            match self.kv.alloc_blocks(short) {
-                Some(fresh) => {
-                    self.tables[rid].blocks.extend(fresh);
-                    i += 1;
-                }
-                None => {
-                    // Shed the newest decode and retry; if that is the very
-                    // request being grown, it preempts itself.
-                    let victim = *self.running.last().expect("rid is in running");
-                    self.preempt(victim);
-                }
-            }
-        }
-    }
-
-    /// Co-batching hint for prefix-shared decode: stably reorder the running
-    /// decode set so requests holding the same shared-prefix block chain sit
-    /// contiguously, in order of each group's first member. Requests with no
-    /// shared blocks are singleton groups at their own positions, so the
-    /// permutation is the identity unless at least two residents actually
-    /// share a chain. Running this *before* decode growth and planning keeps
-    /// the growth set, the Sarathi decode cap and the LIFO preemption victim
-    /// all consistent with the co-batched order.
-    fn cobatch_shared_prefixes(&mut self) {
-        let mut group_of: HashMap<&[BlockId], usize> = HashMap::new();
-        let mut next_group = 0usize;
-        let mut ranked: Vec<(usize, usize, usize)> = Vec::with_capacity(self.running.len());
-        for (i, &rid) in self.running.iter().enumerate() {
-            let table = &self.tables[rid];
-            let group = if table.shared == 0 {
-                let g = next_group;
-                next_group += 1;
-                g
-            } else {
-                *group_of
-                    .entry(&table.blocks[..table.shared])
-                    .or_insert_with(|| {
-                        let g = next_group;
-                        next_group += 1;
-                        g
-                    })
-            };
-            ranked.push((group, i, rid));
-        }
-        // Lexicographic (group, original position): stable by construction.
-        ranked.sort_unstable();
-        let reordered: Vec<usize> = ranked.into_iter().map(|(_, _, rid)| rid).collect();
-        self.running = reordered;
-    }
-
-    /// Per-iteration shared-prefix dedup summary of the planned decode set:
-    /// `(groups, tokens)` where `groups` counts shared-block chains held by
-    /// at least two of this iteration's decodes and `tokens` is the decode
-    /// KV the grouped pass does **not** re-read — `(members − 1) × shared
-    /// tokens` summed over those groups. Requests whose admission acquired
-    /// no cached blocks (`shared == 0`) never group.
-    fn shared_decode_dedup(&self, decodes: &[usize]) -> (usize, usize) {
-        let mut chains: HashMap<&[BlockId], usize> = HashMap::new();
-        for &rid in decodes {
-            let table = &self.tables[rid];
-            if table.shared == 0 {
-                continue;
-            }
-            *chains.entry(&table.blocks[..table.shared]).or_insert(0) += 1;
-        }
-        let mut groups = 0usize;
-        let mut tokens = 0usize;
-        for (chain, members) in chains {
-            if members > 1 {
-                groups += 1;
-                tokens += (members - 1) * chain.len() * BLOCK_TOKENS;
-            }
-        }
-        (groups, tokens)
-    }
-
-    /// Register this request's newly computed full blocks in the prefix
-    /// index (no-op for opaque content or once indexing stalled on an
-    /// existing equal chain).
-    fn index_computed_blocks(&mut self, rid: usize) {
-        let req = &self.requests[rid];
-        if !req.spec.content.is_shareable() || self.tables[rid].index_stalled {
-            return;
-        }
-        let computed_full = (req.context_len() / BLOCK_TOKENS).min(self.tables[rid].blocks.len());
-        let table = &mut self.tables[rid];
-        if computed_full > table.indexed {
-            let want = computed_full - table.indexed;
-            let (cursor, registered) = self.kv.extend_index(
-                table.cursor,
-                req.spec.content,
-                table.indexed,
-                &table.blocks[table.indexed..computed_full],
-            );
-            table.cursor = cursor;
-            table.indexed += registered;
-            table.index_stalled = registered < want;
-        }
-    }
-
-    /// Release a finished request's residency according to the KV policy.
-    fn release_finished(&mut self, rid: usize, policy: KvCachePolicy) {
-        match policy {
-            KvCachePolicy::Conservative => {
-                if self.reserved[rid] {
-                    self.kv.release(self.requests[rid].spec.total_tokens());
-                    self.reserved[rid] = false;
-                }
-            }
-            KvCachePolicy::Paged { prefix_caching } => {
-                if prefix_caching {
-                    // Index the decode region too, so multi-turn follow-ups
-                    // whose prompts embed this response hit the cache.
-                    self.index_computed_blocks(rid);
-                }
-                let table = std::mem::take(&mut self.tables[rid]);
-                let t = self.clock;
-                let freed = table.blocks.len();
-                self.trace(t, || TraceEventKind::KvFree {
-                    request: rid,
-                    blocks: freed,
-                });
-                self.kv.release_blocks(&table.blocks);
-                self.reserved[rid] = false;
-            }
-        }
+        (&mut self.kv, queues)
     }
 }
 
@@ -1006,11 +900,6 @@ impl EngineState {
 pub struct ServingEngine {
     config: ServingConfig,
     cost: IterationCostModel,
-    /// Iteration cost model of the draft model (`Some` exactly when the
-    /// config decodes speculatively with a non-free drafter): prices the
-    /// `k` draft proposal passes each speculative round runs before its
-    /// verify step.
-    draft_cost: Option<IterationCostModel>,
     kv_capacity: usize,
     /// Prefill-only mode (disaggregated serving): requests that complete
     /// their prefill here are parked for [`ServingEngine::take_ready_handoffs`]
@@ -1024,36 +913,39 @@ impl ServingEngine {
     pub fn new(config: ServingConfig) -> Self {
         // `price_cache` gates both memoization layers: the engine's
         // batch-signature cache and the estimator's side-cost memo.
-        let cost = if config.price_cache {
-            IterationCostModel::new(config.model.clone(), config.gpu.clone())
-        } else {
-            IterationCostModel::exact(config.model.clone(), config.gpu.clone())
+        let cost_model = |model: ModelConfig| {
+            if config.price_cache {
+                IterationCostModel::new(model, config.gpu.clone())
+            } else {
+                IterationCostModel::exact(model, config.gpu.clone())
+            }
         };
-        // The drafter is priced through the same estimator stack as the
-        // target, just over a scaled-down model. A free drafter (scale 0)
-        // resolves to no model and costs exactly nothing.
-        let draft_cost = match &config.decode_mode {
+        let cost = cost_model(config.model.clone());
+        let spec = match &config.decode_mode {
             DecodeMode::Autoregressive => None,
-            DecodeMode::Speculative { draft, .. } => draft.resolve(&config.model).map(|model| {
-                if config.price_cache {
-                    IterationCostModel::new(model, config.gpu.clone())
-                } else {
-                    IterationCostModel::exact(model, config.gpu.clone())
-                }
+            DecodeMode::Speculative {
+                k,
+                draft,
+                acceptance,
+            } => Some(Speculation {
+                k: *k,
+                acceptance: *acceptance,
+                // The drafter is priced through the same estimator stack as
+                // the target, just over a scaled-down model. A free drafter
+                // (scale 0) resolves to no model and costs exactly nothing.
+                draft_cost: draft.resolve(&config.model).map(cost_model),
+                rounds: 0,
+                accepted: 0,
+                rejected: 0,
             }),
         };
         let kv_capacity = config
             .kv_capacity_tokens
             .unwrap_or_else(|| config.model.kv_cache_capacity_tokens(&config.gpu));
-        let state = EngineState::new(
-            kv_capacity,
-            config.streaming_metrics,
-            config.tracing.as_ref(),
-        );
+        let state = EngineState::new(&config, kv_capacity, spec);
         ServingEngine {
             config,
             cost,
-            draft_cost,
             kv_capacity,
             export_prefills: false,
             state,
@@ -1067,11 +959,6 @@ impl ServingEngine {
     /// for [`crate::ReplicaRole::PrefillOnly`] replicas.
     pub fn set_export_prefills(&mut self, export: bool) {
         self.export_prefills = export;
-    }
-
-    /// Whether this replica exports completed prefills instead of decoding.
-    pub fn exports_prefills(&self) -> bool {
-        self.export_prefills
     }
 
     /// The configuration in effect.
@@ -1110,8 +997,7 @@ impl ServingEngine {
         assert!(!spec.arrival.is_nan(), "arrival times must not be NaN");
         let id = self.state.requests.len();
         self.state.requests.push(Request::new(id, spec));
-        self.state.reserved.push(false);
-        self.state.tables.push(RequestKv::default());
+        self.state.kv.register();
         // Keep the pending-arrival queue sorted; insertion after equal
         // arrivals preserves submission order for ties, matching the stable
         // sort the closed-world `run` historically used.
@@ -1128,19 +1014,21 @@ impl ServingEngine {
         &self.state.requests
     }
 
-    /// Pull every request that has not started (no KV residency, no tokens
-    /// computed) out of this replica's queues and return its spec, marking
+    /// Pull every request that has not started (no KV residency, no token
+    /// minted) out of this replica's queues and return its spec, marking
     /// the local record as reassigned. The cluster autoscaler calls this
-    /// when draining a replica for scale-in: the in-flight requests (admitted
-    /// mid-prefill or decoding) stay and finish here, while the returned
-    /// specs are re-routed to surviving replicas. Returned in queue order
-    /// (waiting front first, then not-yet-due arrivals by arrival time).
+    /// when draining a replica for scale-in: the in-flight requests
+    /// (admitted mid-prefill, decoding, or preempted after minting tokens —
+    /// their TTFT is already stamped here) stay and finish here, while the
+    /// returned specs are re-routed to surviving replicas. Returned in queue
+    /// order (waiting front first, then not-yet-due arrivals by arrival
+    /// time).
     pub fn reclaim_unstarted(&mut self) -> Vec<RequestSpec> {
         let st = &mut self.state;
         let mut specs = Vec::new();
         let mut kept = VecDeque::new();
         for &rid in &st.waiting {
-            if st.reserved[rid] {
+            if st.kv.is_admitted(rid) || st.requests[rid].first_token_time.is_some() {
                 kept.push_back(rid);
             } else {
                 st.requests[rid].reassigned = true;
@@ -1165,8 +1053,8 @@ impl ServingEngine {
     /// the decode replica. Only meaningful in prefill-export mode.
     pub fn take_ready_handoffs(&mut self) -> Vec<PrefillHandoff> {
         let st = &mut self.state;
-        let mut out = Vec::with_capacity(st.pending_export.len());
-        for (rid, chain) in std::mem::take(&mut st.pending_export) {
+        let mut out = Vec::with_capacity(st.migration.exports.len());
+        for (rid, chain) in std::mem::take(&mut st.migration.exports) {
             let export_time = st.requests[rid]
                 .first_token_time
                 .expect("exported requests completed their prefill");
@@ -1174,8 +1062,8 @@ impl ServingEngine {
                 export_time - st.requests[rid].prefill_start_time.unwrap_or(export_time);
             let request = st.requests[rid].clone();
             st.requests[rid].migrated_out = true;
-            st.migrated_out += 1;
-            st.migrated_tokens_out += chain.tokens;
+            st.migration.migrated_out += 1;
+            st.migration.tokens_out += chain.tokens;
             out.push(PrefillHandoff {
                 request,
                 chain,
@@ -1202,11 +1090,9 @@ impl ServingEngine {
             Phase::Decoding,
             "only prefill-complete requests migrate"
         );
-        let at = self
-            .state
-            .pending_imports
-            .partition_point(|imp| imp.available_at <= available_at);
-        self.state.pending_imports.insert(
+        let imports = &mut self.state.migration.imports;
+        let at = imports.partition_point(|imp| imp.available_at <= available_at);
+        imports.insert(
             at,
             PendingImport {
                 available_at,
@@ -1216,24 +1102,15 @@ impl ServingEngine {
         );
     }
 
-    /// Completed prefills parked for migration pickup.
-    pub fn ready_handoffs(&self) -> usize {
-        self.state.pending_export.len()
-    }
-
-    /// Migrated-in requests whose transfer or residency is still pending.
-    pub fn pending_imports(&self) -> usize {
-        self.state.pending_imports.len()
-    }
-
     /// Whether every submitted request has finished (including any parked
     /// handoffs being picked up and any migrated-in arrivals being served).
     pub fn is_drained(&self) -> bool {
-        self.state.arrivals.is_empty()
-            && self.state.waiting.is_empty()
-            && self.state.running.is_empty()
-            && self.state.pending_export.is_empty()
-            && self.state.pending_imports.is_empty()
+        let st = &self.state;
+        st.arrivals.is_empty()
+            && st.waiting.is_empty()
+            && st.running.is_empty()
+            && st.migration.exports.is_empty()
+            && st.migration.imports.is_empty()
     }
 
     /// Requests currently in their decode phase.
@@ -1270,7 +1147,7 @@ impl ServingEngine {
             // Migrated-in requests still in flight are committed work too —
             // without them, simultaneous deliveries would all dogpile onto
             // the same decode replica.
-            + st.pending_imports
+            + st.migration.imports
                 .iter()
                 .map(|imp| imp.request.remaining_tokens())
                 .sum::<usize>()
@@ -1299,11 +1176,8 @@ impl ServingEngine {
             return Some(st.clock);
         }
         let next_arrival = st.arrivals.front().map(|&id| st.requests[id].spec.arrival);
-        let next_import = st.pending_imports.front().map(|imp| imp.available_at);
-        match (next_arrival, next_import) {
-            (Some(a), Some(m)) => Some(a.min(m)),
-            (a, m) => a.or(m),
-        }
+        let next_import = st.migration.imports.front().map(|imp| imp.available_at);
+        earliest(next_arrival, next_import)
     }
 
     /// High-water mark of token-time samples resident in this replica's
@@ -1343,127 +1217,7 @@ impl ServingEngine {
     /// the paged policy with prefix caching. The affinity signal
     /// [`crate::RouterPolicy::PrefixAffinity`] routes on.
     pub fn cached_prefix_tokens_for(&self, spec: &RequestSpec) -> usize {
-        if !self.config.kv_policy.prefix_caching() {
-            return 0;
-        }
-        self.state
-            .kv
-            .peek_prefix(spec.content, spec.prompt_tokens.saturating_sub(1))
-    }
-
-    /// Fair-queueing selection: give the waiting-queue slot right after any
-    /// admitted (reserved, mid-prefill) prefix to the best candidate —
-    /// highest [`Priority`] first, then the tenant with the smallest
-    /// virtual-token counter, then the smallest tenant id, then queue order.
-    /// Every other waiting request keeps its relative order. A no-op without
-    /// a [`FairQueueConfig`], and order-preserving (hence bit-for-bit inert)
-    /// whenever the FIFO front is already the best candidate — in particular
-    /// always for single-tenant, single-priority traces.
-    fn fair_reorder(&mut self) {
-        if self.config.fair_queue.is_none() {
-            return;
-        }
-        let st = &mut self.state;
-        let start = st.waiting.iter().take_while(|&&r| st.reserved[r]).count();
-        if st.waiting.len().saturating_sub(start) < 2 {
-            return;
-        }
-        // Activation lift + floor advance: every competing tenant enters the
-        // race at no less than the current floor, and the floor ratchets to
-        // the smallest competing counter so idle tenants cannot bank credit.
-        for pos in start..st.waiting.len() {
-            let tenant = st.requests[st.waiting[pos]].spec.tenant;
-            let floor = st.fair_floor;
-            let v = st.fair_vtime_entry(tenant);
-            *v = v.max(floor);
-        }
-        let min_active = (start..st.waiting.len())
-            .map(|pos| {
-                let t = st.requests[st.waiting[pos]].spec.tenant;
-                *st.fair_vtime_entry(t)
-            })
-            .fold(f64::INFINITY, f64::min);
-        st.fair_floor = st.fair_floor.max(min_active);
-        // Pick the best candidate; strict improvement keeps FIFO on ties.
-        let mut best = start;
-        for pos in start + 1..st.waiting.len() {
-            let (bp, bt): (Priority, TenantId) = {
-                let r = &st.requests[st.waiting[best]];
-                (r.spec.priority, r.spec.tenant)
-            };
-            let (cp, ct) = {
-                let r = &st.requests[st.waiting[pos]];
-                (r.spec.priority, r.spec.tenant)
-            };
-            let bv = *st.fair_vtime_entry(bt);
-            let cv = *st.fair_vtime_entry(ct);
-            if cp > bp || (cp == bp && (cv < bv || (cv == bv && ct < bt))) {
-                best = pos;
-            }
-        }
-        if best != start {
-            let rid = st.waiting.remove(best).expect("best is in bounds");
-            st.waiting.insert(start, rid);
-        }
-    }
-
-    /// Priority preemption: when the fair queue's choice sits at the actual
-    /// queue front but the block pool blocks its admission, evict running
-    /// decodes of strictly lower [`Priority`] (lowest class first, most
-    /// recently started among equals — they lose the least recomputation)
-    /// through the paged preemption path until the candidate fits or no
-    /// eligible victim remains. Each eviction is charged to the candidate's
-    /// [`Request::preemptions_inflicted`]. Returns whether anything was
-    /// preempted (victims re-queue at the front, so the caller must re-run
-    /// the fair selection).
-    fn priority_preempt(&mut self) -> bool {
-        let preempt_on = self
-            .config
-            .fair_queue
-            .as_ref()
-            .is_some_and(|f| f.preempt_priorities)
-            && matches!(self.config.kv_policy, KvCachePolicy::Paged { .. });
-        if !preempt_on {
-            return false;
-        }
-        let st = &mut self.state;
-        // Only act for the schedulable front: a reserved (mid-prefill)
-        // request ahead of the candidate owns the prefill slot, and evicting
-        // decodes for a request that cannot be consulted yet wastes work.
-        let Some(&cand) = st.waiting.front() else {
-            return false;
-        };
-        if st.reserved[cand] {
-            return false;
-        }
-        // Never preempt for a request that cannot fit even in an empty pool
-        // (the feasibility rule paged admission defers on).
-        let capacity_blocks = st.kv.capacity_tokens() / BLOCK_TOKENS;
-        if blocks_for(st.requests[cand].spec.total_tokens()) > capacity_blocks {
-            return false;
-        }
-        let pri = st.requests[cand].spec.priority;
-        // Same sizing as paged admission: the prefill target plus the first
-        // decode token it mints (prefix-cache hits can only shrink this, so
-        // the check may over-evict by at most the cached share).
-        let needed = blocks_for(st.requests[cand].target_prefill() + 1) * BLOCK_TOKENS;
-        let mut any = false;
-        while st.kv.free_tokens() < needed {
-            let victim = st
-                .running
-                .iter()
-                .rev()
-                .filter(|&&r| st.requests[r].spec.priority < pri)
-                .min_by_key(|&&r| st.requests[r].spec.priority)
-                .copied();
-            let Some(v) = victim else {
-                break;
-            };
-            st.preempt(v);
-            st.requests[cand].preemptions_inflicted += 1;
-            any = true;
-        }
-        any
+        self.state.kv.cached_prefix_tokens(spec)
     }
 
     /// Advance the simulation by exactly one scheduler iteration.
@@ -1476,64 +1230,69 @@ impl ServingEngine {
     /// runnable the outcome says why ([`IterationOutcome::IdleUntil`] /
     /// [`IterationOutcome::Drained`] / [`IterationOutcome::Blocked`]) and no
     /// further time passes.
+    ///
+    /// The iteration is a fixed sequence of phases, one method each.
     pub fn step(&mut self, now: f64) -> IterationOutcome {
-        let st = &mut self.state;
-        st.clock = st.clock.max(now);
-        // Eviction watermark for the per-iteration KvEvict delta (a plain
+        self.state.clock = self.state.clock.max(now);
+        // Eviction watermark for the iteration's KvEvict delta (a plain
         // counter read; the delta is only consulted when tracing is on).
-        let evicted_before = st.kv.blocks_evicted();
+        let evicted_before = self.state.kv.blocks_evicted();
+        self.admit_arrivals();
+        self.adopt_imports();
+        self.prepare_decodes();
+        self.select_front();
+        let plan = self.plan();
+        if plan.is_empty() {
+            return self.idle_outcome();
+        }
+        let (started_at, duration) = self.price(&plan);
+        let (newly_finished, decode_tokens) = self.apply(&plan);
+        let prefill_tokens = self.account(&plan);
+        let stats = IterationStats {
+            started_at,
+            completed_at: self.state.clock,
+            duration,
+            hybrid: plan.is_hybrid(),
+            prefill_tokens,
+            decode_tokens,
+            newly_finished,
+        };
+        self.emit_iteration(&plan, &stats, evicted_before);
+        IterationOutcome::Ran(stats)
+    }
 
-        // Admit arrivals that have happened by now.
+    /// Phase 1: move every arrival the clock has reached into the waiting
+    /// queue.
+    fn admit_arrivals(&mut self) {
+        let st = &mut self.state;
         while let Some(&id) = st.arrivals.front() {
-            if st.requests[id].spec.arrival <= st.clock {
-                st.waiting.push_back(id);
-                st.arrivals.pop_front();
-                let t = st.clock;
-                let spec = st.requests[id].spec;
-                st.trace(t, || TraceEventKind::Enqueue {
-                    request: id,
-                    tenant: spec.tenant,
-                    priority: spec.priority,
-                    prompt_tokens: spec.prompt_tokens,
-                    output_tokens: spec.output_tokens,
-                });
-            } else {
+            if st.requests[id].spec.arrival > st.clock {
                 break;
             }
+            st.waiting.push_back(id);
+            st.arrivals.pop_front();
+            let spec = st.requests[id].spec;
+            emit(&mut st.recorder, st.clock, || TraceEventKind::Enqueue {
+                request: id,
+                tenant: spec.tenant,
+                priority: spec.priority,
+                prompt_tokens: spec.prompt_tokens,
+                output_tokens: spec.output_tokens,
+            });
         }
+    }
 
-        // Adopt migrated-in KV chains whose transfer has completed: allocate
-        // residency and resume the request's decode here. Delivery order is
-        // FIFO — a failed allocation holds later imports back too, so
-        // admission is deterministic and the longest-waiting chain lands
-        // first once capacity frees up.
-        while st
-            .pending_imports
-            .front()
-            .is_some_and(|imp| imp.available_at <= st.clock)
-        {
-            let front = st.pending_imports.front().expect("front checked above");
-            let adopted = match self.config.kv_policy {
-                KvCachePolicy::Conservative => st
-                    .kv
-                    .reserve(front.request.spec.total_tokens())
-                    .then(Vec::new),
-                KvCachePolicy::Paged { .. } => {
-                    // Mirror paged admission's +1 rule: room for the chain
-                    // plus the next minted token, so a fresh import cannot
-                    // immediately preempt itself on first growth.
-                    let blocks =
-                        blocks_for(front.request.context_len() + 1).max(front.chain.blocks);
-                    st.kv.adopt_chain(KvChain {
-                        tokens: front.chain.tokens,
-                        blocks,
-                    })
-                }
-            };
-            let Some(blocks) = adopted else {
+    /// Phase 2: adopt migrated-in KV chains whose transfer has completed and
+    /// resume their decodes here. Delivery is FIFO — a failed adoption holds
+    /// later imports back too, so admission is deterministic and the
+    /// longest-waiting chain lands first once capacity frees up.
+    fn adopt_imports(&mut self) {
+        let st = &mut self.state;
+        while let Some(front) = st.migration.due(st.clock) {
+            if !st.kv.adopt(&front.request, front.chain) {
                 break;
-            };
-            let mut imp = st.pending_imports.pop_front().expect("front exists");
+            }
+            let mut imp = st.migration.imports.pop_front().expect("front exists");
             let rid = st.requests.len();
             imp.request.id = rid;
             imp.request.migrated_in = true;
@@ -1543,357 +1302,174 @@ impl ServingEngine {
                     .first_token_time
                     .expect("migrated requests completed prefill");
             imp.request.migration_stall = stall;
-            st.migration_stall_time += stall;
-            st.migrated_in += 1;
+            st.migration.stall_time += stall;
+            st.migration.migrated_in += 1;
             st.live_token_samples += imp.request.token_times.len();
             let tokens = imp.chain.tokens;
             st.requests.push(imp.request);
-            st.reserved.push(true);
-            st.tables.push(RequestKv {
-                blocks,
-                // Adopted chains stay private: block fingerprints are
-                // pool-local, so the migrated KV cannot be proven equal to
-                // anything in this replica's prefix index.
-                index_stalled: true,
-                ..RequestKv::default()
-            });
             st.running.push(rid);
-            let t = st.clock;
-            st.trace(t, || TraceEventKind::HandoffImport {
-                request: rid,
-                tokens,
-                stall,
+            emit(&mut st.recorder, st.clock, || {
+                TraceEventKind::HandoffImport {
+                    request: rid,
+                    tokens,
+                    stall,
+                }
             });
         }
+    }
 
-        // Prefix-shared decode (KV dedup) is only meaningful where sharing
-        // can be proven: the paged policy's prefix index.
-        let dedup_on = self.config.decode_dedup && self.config.kv_policy.prefix_caching();
-
-        // Speculation depth this engine decodes at (0 = autoregressive,
-        // which leaves every downstream budget, signature and price
-        // bit-for-bit untouched).
+    /// Phase 3: co-batch same-prefix decodes so dedup groups survive the
+    /// Sarathi decode cap, then give every decode of this iteration KV for
+    /// its next token(s), preempting when the pool runs out. The growth set
+    /// must match the scheduler's decode set exactly: Sarathi caps decodes
+    /// at `max_batch_size`, while the vLLM policy decodes every running
+    /// request.
+    fn prepare_decodes(&mut self) {
+        let decode_cap = match self.config.scheduler {
+            SchedulerKind::Vllm => usize::MAX,
+            SchedulerKind::Sarathi { .. } => self.config.max_batch_size,
+        };
         let spec_k = self.config.decode_mode.spec_k();
-
-        // Scheduler hint: co-batch same-prefix decodes so dedup groups
-        // actually form under the Sarathi decode cap (taking the first
-        // `max_batch_size` of an interleaved running set would split
-        // groups). Must precede decode growth so the growth set matches the
-        // co-batched decode set.
-        if dedup_on && st.running.len() > 1 {
-            st.cobatch_shared_prefixes();
-        }
-
-        // Under the paged policy, decode growth happens before batch
-        // formation: every request that will decode this iteration gets a
-        // block for its next token, preempting the newest decodes if the
-        // pool is exhausted. The growth set must match the scheduler's
-        // decode set exactly: Sarathi caps decodes at `max_batch_size`,
-        // while the vLLM policy decodes every running request.
-        if matches!(self.config.kv_policy, KvCachePolicy::Paged { .. }) {
-            let decode_cap = match self.config.scheduler {
-                SchedulerKind::Vllm => usize::MAX,
-                SchedulerKind::Sarathi { .. } => self.config.max_batch_size,
-            };
-            st.grow_decode_blocks(decode_cap, spec_k);
-        }
-
-        // Multi-tenant fair queueing: decide which waiting request owns the
-        // admission slot this iteration, and — with priority preemption on —
-        // evict lower-priority decodes to make room for it. Victims re-queue
-        // at the front, so the selection re-runs to restore the winner (it
-        // outranks its own victims by construction).
-        self.fair_reorder();
-        if self.priority_preempt() {
-            self.fair_reorder();
-        }
         let st = &mut self.state;
+        st.kv.cobatch(&mut st.running);
+        let (kv, mut queues) = st.kv_and_queues();
+        kv.grow_decodes(&mut queues, decode_cap, spec_k);
+    }
 
-        // Plan the iteration. Shedding re-plans without advancing time: a
-        // shed frees the prefill slot, so the next waiting request gets its
-        // admission consult in the *same* iteration (each shed strictly
-        // shrinks the waiting queue, so the loop terminates).
-        let plan = loop {
-            let plan = {
-                let admission = self.config.admission;
-                let now_clock = st.clock;
-                let capacity_blocks = st.kv.capacity_tokens() / BLOCK_TOKENS;
-                let (requests, waiting, running) = (&mut st.requests, &st.waiting, &st.running);
-                let (kv, reserved, tables) = (&mut st.kv, &mut st.reserved, &mut st.tables);
-                let (cached_ctr, reused_ctr, cow_ctr) = (
-                    &mut st.cached_prefix_tokens,
-                    &mut st.blocks_reused,
-                    &mut st.cow_copies,
-                );
-                let recorder = &mut st.recorder;
-                match self.config.kv_policy {
-                    KvCachePolicy::Conservative => plan_batch(
-                        self.config.scheduler,
-                        requests,
-                        waiting,
-                        running,
-                        &mut |req: &Request| {
-                            if reserved[req.id] {
-                                return AdmissionDecision::Admit { cached_tokens: 0 };
-                            }
-                            if admission.should_shed(req, now_clock) {
-                                return AdmissionDecision::Shed;
-                            }
-                            if kv.reserve(req.spec.total_tokens()) {
-                                reserved[req.id] = true;
-                                if let Some(rec) = recorder.as_mut() {
-                                    rec.record(
-                                        now_clock,
-                                        TraceEventKind::Admit {
-                                            request: req.id,
-                                            cached_tokens: 0,
-                                        },
-                                    );
-                                }
-                                AdmissionDecision::Admit { cached_tokens: 0 }
-                            } else {
-                                if let Some(rec) = recorder.as_mut() {
-                                    rec.record(
-                                        now_clock,
-                                        TraceEventKind::Defer { request: req.id },
-                                    );
-                                }
-                                AdmissionDecision::Defer
-                            }
-                        },
-                        self.config.max_batch_size,
-                        spec_k,
-                    ),
-                    KvCachePolicy::Paged { prefix_caching } => plan_batch(
-                        self.config.scheduler,
-                        requests,
-                        waiting,
-                        running,
-                        &mut |req: &Request| {
-                            if reserved[req.id] {
-                                return AdmissionDecision::Admit { cached_tokens: 0 };
-                            }
-                            if admission.should_shed(req, now_clock) {
-                                return AdmissionDecision::Shed;
-                            }
-                            // Feasibility: to *finish*, the request must at some
-                            // point hold blocks for its whole prompt + output.
-                            // Admitting one that never can would decode until
-                            // growth exhausts the pool and then preempt/recompute
-                            // forever; deferring it surfaces the same Blocked
-                            // outcome (with the same total-tokens sizing number)
-                            // the conservative policy reports.
-                            if blocks_for(req.spec.total_tokens()) > capacity_blocks {
-                                if let Some(rec) = recorder.as_mut() {
-                                    rec.record(
-                                        now_clock,
-                                        TraceEventKind::Defer { request: req.id },
-                                    );
-                                }
-                                return AdmissionDecision::Defer;
-                            }
-                            // Match the prompt (or, after a preemption, the full
-                            // recompute target) against the prefix index, capped
-                            // one below the target so at least one token is
-                            // always computed; then allocate the uncached rest.
-                            let target = req.target_prefill();
-                            let m = if prefix_caching {
-                                kv.acquire_prefix(req.spec.content, target - 1)
-                            } else {
-                                Default::default()
-                            };
-                            // Allocate for the prefill target *plus the first
-                            // decode token after it*: completing the prefill
-                            // mints that token, and without room for its KV a
-                            // restored request self-preempts forever — the
-                            // preemption frees exactly the blocks re-admission
-                            // then re-allocates, while (under the vLLM
-                            // scheduler) the restore prefill pauses every other
-                            // decode, so nothing ever progresses. Requiring the
-                            // extra block up front turns that livelock into a
-                            // Defer, letting the running decodes drain and free
-                            // real capacity. Still within the feasibility bound:
-                            // target + 1 <= prompt + output.
-                            let needed = blocks_for(target + 1) - m.blocks.len();
-                            let outcome = match kv.alloc_blocks(needed) {
-                                Some(fresh) => {
-                                    *cached_ctr += m.cached_tokens;
-                                    *reused_ctr += m.blocks.len();
-                                    *cow_ctr += usize::from(m.cow_source.is_some());
-                                    if let Some(rec) = recorder.as_mut() {
-                                        rec.record(
-                                            now_clock,
-                                            TraceEventKind::Admit {
-                                                request: req.id,
-                                                cached_tokens: m.cached_tokens,
-                                            },
-                                        );
-                                        rec.record(
-                                            now_clock,
-                                            TraceEventKind::KvAlloc {
-                                                request: req.id,
-                                                blocks: needed,
-                                                reused: m.blocks.len(),
-                                                cow: m.cow_source.is_some(),
-                                            },
-                                        );
-                                    }
-                                    let table = &mut tables[req.id];
-                                    table.shared = m.blocks.len();
-                                    table.indexed = m.blocks.len();
-                                    table.cursor = m.cursor;
-                                    table.blocks = m.blocks;
-                                    table.blocks.extend(fresh);
-                                    reserved[req.id] = true;
-                                    AdmissionDecision::Admit {
-                                        cached_tokens: m.cached_tokens,
-                                    }
-                                }
-                                None => {
-                                    // Roll back the prefix acquisition; the
-                                    // request retries next iteration.
-                                    kv.release_blocks(&m.blocks);
-                                    if let Some(rec) = recorder.as_mut() {
-                                        rec.record(
-                                            now_clock,
-                                            TraceEventKind::Defer { request: req.id },
-                                        );
-                                    }
-                                    AdmissionDecision::Defer
-                                }
-                            };
-                            // The CoW source was pinned by acquire_prefix so the
-                            // allocation above could not evict it mid-admission;
-                            // the copy has now happened (or the admission was
-                            // rolled back), so drop the pin either way.
-                            if let Some(cow) = m.cow_source {
-                                kv.release_blocks(&[cow]);
-                            }
-                            outcome
-                        },
-                        self.config.max_batch_size,
-                        spec_k,
-                    ),
-                }
-            };
-            if let Some(rid) = plan.shed {
-                st.requests[rid].shed_time = Some(st.clock);
-                let t = st.clock;
-                st.trace(t, || TraceEventKind::Shed { request: rid });
-                if let Some(acc) = st.accumulator.as_mut() {
-                    acc.observe_shed(&st.requests[rid]);
-                }
-                st.waiting.retain(|&r| r != rid);
-                // Always re-plan: the freed prefill slot must be offered to
-                // the next waiting request in this same iteration (dropping
-                // only the shed request from an otherwise-formed plan would
-                // waste the whole chunk budget on a decodes-only batch).
-                continue;
-            }
-            break plan;
+    /// Phase 4: with fair queueing, decide which waiting request owns the
+    /// admission slot, and — with priority preemption — evict lower-priority
+    /// decodes to make room for it. Victims re-queue at the front, so the
+    /// selection re-runs to restore the winner (it outranks its own victims
+    /// by construction).
+    fn select_front(&mut self) {
+        let st = &mut self.state;
+        let Some(fair) = st.fair.as_mut() else {
+            return;
         };
-
-        if plan.is_empty() {
-            // A due-but-unadmitted import with no resident work left to free
-            // capacity can never fit: the migration analog of the oversized-
-            // request deadlock.
-            let import_due = st
-                .pending_imports
-                .front()
-                .is_some_and(|imp| imp.available_at <= st.clock);
-            if import_due && st.waiting.is_empty() && st.running.is_empty() {
-                return IterationOutcome::Blocked {
-                    needed_tokens: st
-                        .pending_imports
-                        .front()
-                        .map(|imp| imp.request.spec.total_tokens())
-                        .unwrap_or(0),
-                    capacity_tokens: self.kv_capacity,
-                };
-            }
-            let next_arrival = st.arrivals.front().map(|&id| st.requests[id].spec.arrival);
-            let next_import = st
-                .pending_imports
-                .front()
-                .map(|imp| imp.available_at)
-                .filter(|&t| t > st.clock);
-            let wake = match (next_arrival, next_import) {
-                (Some(a), Some(m)) => Some(a.min(m)),
-                (a, m) => a.or(m),
-            };
-            if let Some(t) = wake {
-                return IterationOutcome::IdleUntil(t);
-            }
-            if st.waiting.is_empty() && st.running.is_empty() {
-                return IterationOutcome::Drained;
-            }
-            return IterationOutcome::Blocked {
-                needed_tokens: st
-                    .waiting
-                    .front()
-                    .map(|&r| st.requests[r].spec.total_tokens())
-                    .unwrap_or(0),
-                capacity_tokens: self.kv_capacity,
-            };
+        fair.select(&st.requests, &mut st.waiting, &st.kv);
+        if !fair.config.preempt_priorities {
+            return;
         }
+        let (kv, mut queues) = st.kv_and_queues();
+        if kv.preempt_for_front(&mut queues) {
+            let fair = st.fair.as_mut().expect("fair queueing is on");
+            fair.select(&st.requests, &mut st.waiting, &st.kv);
+        }
+    }
 
-        // Shared-prefix decode dedup: group this iteration's decodes by
-        // their shared-block chains and compute the KV traffic the grouped
-        // pass saves. With dedup off this stays (0, 0) and every signature,
-        // price and trace below is bit-for-bit what a dedup-unaware engine
-        // produces.
-        let (dedup_groups, dedup_tokens) = if dedup_on && !plan.decodes.is_empty() {
-            st.shared_decode_dedup(&plan.decodes)
-        } else {
-            (0, 0)
-        };
-        if dedup_tokens > 0 {
-            st.decode_kv_tokens_deduped += dedup_tokens;
-            let t = st.clock;
-            st.trace(t, || TraceEventKind::KvDedup {
-                groups: dedup_groups,
-                tokens: dedup_tokens,
+    /// Phase 5: plan the batch, with the KV manager deciding admission.
+    /// Shedding re-plans without advancing time: a shed frees the prefill
+    /// slot, so the next waiting request gets its admission consult in the
+    /// *same* iteration (each shed strictly shrinks the waiting queue, so
+    /// the loop terminates).
+    fn plan(&mut self) -> BatchPlan {
+        let (admission, spec_k) = (self.config.admission, self.config.decode_mode.spec_k());
+        let st = &mut self.state;
+        loop {
+            let now = st.clock;
+            let (kv, recorder) = (&mut st.kv, &mut st.recorder);
+            let plan = plan_batch(
+                self.config.scheduler,
+                &mut st.requests,
+                &st.waiting,
+                &st.running,
+                &mut |req: &Request| kv.admit(req, admission, now, recorder),
+                self.config.max_batch_size,
+                spec_k,
+            );
+            let Some(rid) = plan.shed else {
+                return plan;
+            };
+            st.requests[rid].shed_time = Some(now);
+            emit(&mut st.recorder, now, || TraceEventKind::Shed {
+                request: rid,
             });
+            if let Some(acc) = st.accumulator.as_mut() {
+                acc.observe_shed(&st.requests[rid]);
+            }
+            // Always re-plan: the freed prefill slot must be offered to the
+            // next waiting request in this same iteration (dropping only the
+            // shed request from an otherwise-formed plan would waste the
+            // whole chunk budget on a decodes-only batch).
+            st.waiting.retain(|&r| r != rid);
         }
+    }
 
-        // Price the iteration. With the cache on, only novel (quantized)
-        // batch shapes reach the cost model; repeats are a map lookup.
+    /// Phase 6: nothing to run — say when to come back, or why never.
+    fn idle_outcome(&self) -> IterationOutcome {
+        let st = &self.state;
+        let blocked = |needed_tokens| IterationOutcome::Blocked {
+            needed_tokens,
+            capacity_tokens: self.kv_capacity,
+        };
+        // A due-but-unadmitted import with no resident work left to free
+        // capacity can never fit: the migration analog of the oversized-
+        // request deadlock.
+        if let Some(imp) = st.migration.due(st.clock) {
+            if st.waiting.is_empty() && st.running.is_empty() {
+                return blocked(imp.request.spec.total_tokens());
+            }
+        }
+        let next_arrival = st.arrivals.front().map(|&id| st.requests[id].spec.arrival);
+        let next_import = st
+            .migration
+            .imports
+            .front()
+            .map(|imp| imp.available_at)
+            .filter(|&t| t > st.clock);
+        if let Some(t) = earliest(next_arrival, next_import) {
+            return IterationOutcome::IdleUntil(t);
+        }
+        if st.waiting.is_empty() && st.running.is_empty() {
+            return IterationOutcome::Drained;
+        }
+        blocked(
+            st.waiting
+                .front()
+                .map(|&r| st.requests[r].spec.total_tokens())
+                .unwrap_or(0),
+        )
+    }
+
+    /// Phase 7: price the iteration (shared-prefix dedup, the target batch
+    /// through the price cache, the drafter's proposals) and advance the
+    /// clock by it. Returns `(started_at, duration)`.
+    fn price(&mut self, plan: &BatchPlan) -> (f64, f64) {
+        let st = &mut self.state;
+        // Zero with dedup off, so every signature, price and trace below is
+        // bit-for-bit what a dedup-unaware engine produces.
+        let dedup_tokens = st.kv.dedup(&plan.decodes, &mut st.recorder, st.clock);
+        // With the cache on, only novel (quantized) batch shapes reach the
+        // cost model; repeats are a map lookup.
         let dt = if self.config.price_cache {
-            let sig = BatchSignature::of_plan(&plan, &st.requests, dedup_tokens);
-            match st.price_cache.get(&sig) {
+            let sig = BatchSignature::of_plan(plan, &st.requests, dedup_tokens);
+            let prices = &mut st.prices;
+            match prices.entries.get(&sig) {
                 Some(&cached) => {
-                    st.cache_hits += 1;
+                    prices.hits += 1;
                     cached
                 }
                 None => {
-                    st.cache_misses += 1;
+                    prices.misses += 1;
                     let priced = self
                         .cost
                         .iteration_time(&sig.canonical_batch(), self.config.attention);
-                    if st.price_cache.len() >= PRICE_CACHE_MAX_ENTRIES {
-                        st.price_cache.clear();
+                    if prices.entries.len() >= PRICE_CACHE_MAX_ENTRIES {
+                        prices.entries.clear();
                     }
-                    st.price_cache.insert(sig, priced);
+                    prices.entries.insert(sig, priced);
                     priced
                 }
             }
         } else {
-            let batch = to_hybrid_batch(&plan, &st.requests, dedup_tokens);
+            let batch = to_hybrid_batch(plan, &st.requests, dedup_tokens);
             self.cost.iteration_time(&batch, self.config.attention)
         };
-        // Draft proposal time: `k` decode passes of the drafter over this
-        // iteration's decode set, added outside the price cache (the
-        // drafter's own cost model memoizes internally). Zero — and
-        // bit-for-bit absent — in autoregressive mode or with a free
-        // drafter, so speculation can never be priced cheaper than the
-        // verify work already inside `dt`.
-        let draft_dt = draft_proposal_time(
-            self.draft_cost.as_ref(),
-            spec_k,
-            self.config.attention,
-            &plan,
-            &st.requests,
-        );
+        // Draft proposals are priced outside the price cache (the drafter's
+        // own cost model memoizes internally).
+        let draft_dt = st.spec.as_ref().map_or(0.0, |spec| {
+            spec.draft_time(self.config.attention, plan, &st.requests)
+        });
         let dt = if draft_dt > 0.0 { dt + draft_dt } else { dt };
         let started_at = st.clock;
         st.clock += dt;
@@ -1902,270 +1478,179 @@ impl ServingEngine {
         if plan.is_hybrid() {
             st.hybrid_iterations += 1;
         }
+        (started_at, dt)
+    }
 
-        // Speculative rounds: draw each decode's acceptance outcome up
-        // front. Outcomes are pure functions of (seed, request id, round),
-        // so the vector — and everything downstream of it — is identical
-        // across thread counts, replica layouts and replays. Empty in
-        // autoregressive mode.
-        let spec_outcomes: Vec<SpecOutcome> = match &self.config.decode_mode {
-            DecodeMode::Autoregressive => Vec::new(),
-            DecodeMode::Speculative { k, acceptance, .. } => plan
-                .decodes
-                .iter()
-                .map(|&rid| {
-                    let req = &st.requests[rid];
-                    let width = req.spec_width(*k);
-                    let accepted = acceptance.accepted(rid, req.spec_rounds, width);
-                    let minted = AcceptanceModel::minted(accepted, width);
-                    SpecOutcome {
-                        width,
-                        accepted,
-                        minted,
-                    }
-                })
-                .collect(),
-        };
-
-        // Apply the iteration's effects to request lifecycles and queues.
+    /// Phase 8: apply the iteration's effects — speculative outcomes,
+    /// request lifecycles, rollback, KV effects, the streaming-metrics fold
+    /// and the prefill export. Returns `(newly finished, net decode
+    /// tokens)`.
+    fn apply(&mut self, plan: &BatchPlan) -> (usize, usize) {
+        let st = &mut self.state;
+        let outcomes = st
+            .spec
+            .as_ref()
+            .map_or_else(Vec::new, |spec| spec.outcomes(plan, &st.requests));
         let prefill_tt_before = plan
             .prefill
-            .map(|(rid, _)| st.requests[rid].token_times.len());
+            .map_or(0, |(rid, _)| st.requests[rid].token_times.len());
         let finished = apply_plan(
-            &plan,
-            &spec_outcomes,
+            plan,
+            &outcomes,
             st.clock,
             &mut st.requests,
             &mut st.waiting,
             &mut st.running,
         );
-        // Net decode tokens minted this iteration: one per decode
-        // autoregressively; the accepted prefix plus correction token per
-        // speculative round (optimistic mints beyond that were rolled back).
-        let decode_tokens = if spec_outcomes.is_empty() {
+        // Net decode tokens minted: one per decode autoregressively; the
+        // accepted prefix plus correction token per speculative round.
+        let decode_tokens = if outcomes.is_empty() {
             plan.decodes.len()
         } else {
-            spec_outcomes.iter().map(|o| o.minted).sum()
+            outcomes.iter().map(|o| o.minted).sum()
         };
-        // Resident-sample accounting: every decode minted its net tokens,
-        // and a prefill completion may have minted the first one.
+        // Resident samples: every decode minted its net tokens, and a
+        // prefill completion may have minted the first one.
         st.live_token_samples += decode_tokens
             + plan.prefill.map_or(0, |(rid, _)| {
-                st.requests[rid].token_times.len() - prefill_tt_before.unwrap_or(0)
+                st.requests[rid].token_times.len() - prefill_tt_before
             });
-        if st.live_token_samples > st.peak_token_samples {
-            st.peak_token_samples = st.live_token_samples;
+        st.peak_token_samples = st.peak_token_samples.max(st.live_token_samples);
+        if let Some(spec) = st.spec.as_mut() {
+            let (requests, kv, recorder) = (&mut st.requests, &mut st.kv, &mut st.recorder);
+            spec.settle(plan, &outcomes, requests, kv, recorder, st.clock);
         }
-
-        // Speculative bookkeeping: advance round indices, tally draft
-        // accept/reject counters, release the KV tail a rollback stranded
-        // (those blocks were allocated by this iteration's speculative
-        // growth and are never indexed or shared — the refcount-conserving
-        // truncation path), and trace each round.
-        if !spec_outcomes.is_empty() {
-            let paged = matches!(self.config.kv_policy, KvCachePolicy::Paged { .. });
-            for (i, &rid) in plan.decodes.iter().enumerate() {
-                let o = spec_outcomes[i];
-                let rejected = o.width - o.accepted;
-                {
-                    let req = &mut st.requests[rid];
-                    req.spec_rounds += 1;
-                    req.draft_accepted += o.accepted;
-                    req.draft_rejected += rejected;
-                }
-                st.spec_rounds += 1;
-                st.draft_tokens_accepted += o.accepted;
-                st.draft_tokens_rejected += rejected;
-                if paged && o.minted < o.width {
-                    let keep = blocks_for(st.requests[rid].context_len())
-                        .max(st.tables[rid].indexed)
-                        .max(st.tables[rid].shared);
-                    if st.tables[rid].blocks.len() > keep {
-                        let tail = st.tables[rid].blocks.split_off(keep);
-                        st.kv.release_blocks(&tail);
-                    }
-                }
-                let t = st.clock;
-                st.trace(t, || TraceEventKind::SpecRound {
-                    request: rid,
-                    width: o.width,
-                    accepted: o.accepted,
-                    minted: o.minted,
-                });
-            }
-        }
-
-        // KV-cache effects, per policy: register newly computed full blocks
-        // in the prefix index, then release finished residencies (a finished
-        // request's indexed blocks stay cached until evicted).
-        if self.config.kv_policy.prefix_caching() {
-            if let Some((rid, _)) = plan.prefill {
-                if !finished.contains(&rid) {
-                    st.index_computed_blocks(rid);
-                }
-            }
-            for &rid in &plan.decodes {
-                if !finished.contains(&rid) {
-                    st.index_computed_blocks(rid);
-                }
-            }
-        }
+        // KV effects: register newly computed full blocks in the prefix
+        // index, then release finished residencies (a finished request's
+        // indexed blocks stay cached until evicted).
+        st.kv.index_iteration(plan, &finished, &st.requests);
         for &rid in &finished {
-            st.release_finished(rid, self.config.kv_policy);
+            st.kv
+                .release_finished(&st.requests[rid], &mut st.recorder, st.clock);
         }
-
-        // Finish events, before streaming metrics drop any request buffers.
-        if st.recorder.is_some() {
-            for &rid in &finished {
-                let req = &st.requests[rid];
-                let prompt_tokens = req.spec.prompt_tokens;
-                let generated = req.generated;
-                let ttft = req.first_token_time.map_or(0.0, |t| t - req.spec.arrival);
-                let latency = req.finish_time.map_or(0.0, |t| t - req.spec.arrival);
-                let t = st.clock;
-                st.trace(t, || TraceEventKind::Finish {
-                    request: rid,
-                    prompt_tokens,
-                    generated,
-                    ttft,
-                    latency,
-                });
-            }
+        self.fold_finished(&finished);
+        if self.export_prefills {
+            self.export_prefill(plan);
         }
+        (finished.len(), decode_tokens)
+    }
 
-        // Streaming metrics: fold each finished request into the accumulator
-        // and drop its token-time buffer — nothing downstream needs it.
-        // (Prefill-export parkings are not in `finished`; their buffers ride
-        // the handoff to the decode replica, which observes the request.)
-        if st.accumulator.is_some() {
-            for &rid in &finished {
-                if let Some(acc) = st.accumulator.as_mut() {
-                    acc.observe_finished(&st.requests[rid]);
-                }
+    /// Record each finished request's Finish event, then — with streaming
+    /// metrics — fold it into the accumulator and drop its token-time
+    /// buffer. (Prefill-export parkings are not finished here; their
+    /// buffers ride the handoff to the decode replica, which observes the
+    /// request.)
+    fn fold_finished(&mut self, finished: &[usize]) {
+        let st = &mut self.state;
+        for &rid in finished {
+            let req = &st.requests[rid];
+            emit(&mut st.recorder, st.clock, || TraceEventKind::Finish {
+                request: rid,
+                prompt_tokens: req.spec.prompt_tokens,
+                generated: req.generated,
+                ttft: req.first_token_time.map_or(0.0, |t| t - req.spec.arrival),
+                latency: req.finish_time.map_or(0.0, |t| t - req.spec.arrival),
+            });
+        }
+        if let Some(acc) = st.accumulator.as_mut() {
+            for &rid in finished {
+                acc.observe_finished(&st.requests[rid]);
                 let dropped = std::mem::take(&mut st.requests[rid].token_times);
                 st.live_token_samples -= dropped.len();
             }
         }
+    }
 
-        // Prefill-export mode: a request that just completed its prefill
-        // (first token minted, TTFT stamped, blocks indexed above so the
-        // local prefix cache keeps serving future sharers) parks for
-        // migration pickup instead of decoding here. Its KV residency is
-        // serialized into the handoff chain and released *now* — the
-        // transfer is overlappable communication, not source HBM — so a
-        // backlog of parked exports can never wedge admission. Requests that
-        // finished outright at prefill (single-token outputs) have nothing
-        // to migrate.
-        if self.export_prefills {
-            if let Some((rid, _)) = plan.prefill {
-                if st.requests[rid].phase() == Phase::Decoding {
-                    st.running.retain(|&r| r != rid);
-                    let tokens = st.requests[rid].context_len();
-                    let chain = match self.config.kv_policy {
-                        KvCachePolicy::Conservative => {
-                            if st.reserved[rid] {
-                                st.kv.release(st.requests[rid].spec.total_tokens());
-                                st.reserved[rid] = false;
-                            }
-                            KvChain {
-                                tokens,
-                                blocks: blocks_for(tokens),
-                            }
-                        }
-                        KvCachePolicy::Paged { .. } => {
-                            let table = std::mem::take(&mut st.tables[rid]);
-                            st.reserved[rid] = false;
-                            st.kv.export_chain(&table.blocks, tokens)
-                        }
-                    };
-                    let (chain_tokens, chain_blocks) = (chain.tokens, chain.blocks);
-                    st.pending_export.push((rid, chain));
-                    let t = st.clock;
-                    st.trace(t, || TraceEventKind::HandoffExport {
-                        request: rid,
-                        tokens: chain_tokens,
-                        blocks: chain_blocks,
-                    });
-                }
-            }
+    /// Prefill-export mode: a request that just completed its prefill
+    /// (first token minted, TTFT stamped, blocks indexed so the local prefix
+    /// cache keeps serving future sharers) parks for migration pickup
+    /// instead of decoding here. Its KV residency is serialized into the
+    /// handoff chain and released *now* — the transfer is overlappable
+    /// communication, not source HBM — so a backlog of parked exports can
+    /// never wedge admission. Requests that finished outright at prefill
+    /// (single-token outputs) have nothing to migrate.
+    fn export_prefill(&mut self, plan: &BatchPlan) {
+        let st = &mut self.state;
+        let Some((rid, _)) = plan.prefill else {
+            return;
+        };
+        if st.requests[rid].phase() != Phase::Decoding {
+            return;
         }
+        st.running.retain(|&r| r != rid);
+        let chain = st.kv.export(&st.requests[rid]);
+        st.migration.exports.push((rid, chain));
+        emit(&mut st.recorder, st.clock, || {
+            TraceEventKind::HandoffExport {
+                request: rid,
+                tokens: chain.tokens,
+                blocks: chain.blocks,
+            }
+        });
+    }
 
-        // Token accounting via the plan's own budget arithmetic, so the
-        // stats and the Sarathi chunk accounting can never drift apart
-        // (`decode_tokens`, the net minted count, was computed above).
+    /// Phase 9: count the iteration's prefill tokens and bill them to the
+    /// owning tenant under fair queueing (cached-prefix tokens were never
+    /// scheduled and are free; decode tokens are not contended the same way
+    /// — the chunk budget is what tenants fight over). Uses the plan's own
+    /// budget arithmetic, so the stats and the Sarathi chunk accounting can
+    /// never drift apart.
+    fn account(&mut self, plan: &BatchPlan) -> usize {
+        let st = &mut self.state;
         let prefill_tokens = plan.scheduled_tokens() - plan.decodes.len() - plan.spec_tokens;
         st.prefill_tokens_scheduled += prefill_tokens;
-        // Fair queueing bills scheduled prefill work to the owning tenant's
-        // virtual-token counter, weighted (cached-prefix tokens were never
-        // scheduled and are free; decode tokens are not contended the same
-        // way — the chunk budget is what tenants fight over).
-        if let (Some(fq), Some((rid, _))) = (&self.config.fair_queue, plan.prefill) {
+        if let (Some(fair), Some((rid, _))) = (st.fair.as_mut(), plan.prefill) {
             if prefill_tokens > 0 {
-                let tenant = st.requests[rid].spec.tenant;
-                let weight = fq.weight(tenant);
-                *st.fair_vtime_entry(tenant) += prefill_tokens as f64 / weight;
+                fair.bill(st.requests[rid].spec.tenant, prefill_tokens);
             }
         }
-        // Iteration-level trace events: the priced batch, any evictions the
-        // iteration's allocations forced, and — when a timeline boundary was
-        // crossed — one sample of replica occupancy. All inside one
-        // `is_some` branch so tracing off never builds an event.
-        if st.recorder.is_some() {
-            let evicted = st.kv.blocks_evicted() - evicted_before;
-            let clock = st.clock;
-            if evicted > 0 {
-                st.trace(clock, || TraceEventKind::KvEvict { blocks: evicted });
-            }
-            let prefill_request = plan.prefill.map(|(rid, _)| rid);
-            let chunk = plan.prefill.map_or(0, |(_, c)| c);
-            let decode_count = plan.decodes.len();
-            let newly_finished = finished.len();
-            let hybrid = plan.is_hybrid();
-            st.trace(clock, || TraceEventKind::Iteration {
-                started_at,
-                duration: dt,
-                hybrid,
-                prefill_request,
-                chunk,
-                decodes: decode_count,
-                prefill_tokens,
-                decode_tokens,
-                newly_finished,
-            });
-            let due = st
-                .recorder
-                .as_mut()
-                .is_some_and(|rec| rec.timeline_due(clock));
-            if due {
-                let running = st.running.len();
-                let waiting = st.waiting.len();
-                let kv_utilization = st.kv.utilization();
-                let mut backlog: std::collections::BTreeMap<TenantId, usize> =
-                    std::collections::BTreeMap::new();
-                for &r in &st.waiting {
-                    *backlog.entry(st.requests[r].spec.tenant).or_insert(0) += 1;
-                }
-                let tenant_backlog: Vec<(TenantId, usize)> = backlog.into_iter().collect();
-                st.trace(clock, || TraceEventKind::TimelineSample {
-                    running,
-                    waiting,
-                    kv_utilization,
-                    prefill_tokens,
-                    decode_tokens,
-                    tenant_backlog,
-                });
-            }
-        }
+        prefill_tokens
+    }
 
-        IterationOutcome::Ran(IterationStats {
-            started_at,
-            completed_at: st.clock,
-            duration: dt,
-            hybrid: plan.is_hybrid(),
-            prefill_tokens,
-            decode_tokens,
-            newly_finished: finished.len(),
-        })
+    /// Phase 10: the iteration-level trace events — any evictions the
+    /// iteration's allocations forced, the priced batch, and, when a
+    /// timeline boundary was crossed, one sample of replica occupancy.
+    fn emit_iteration(&mut self, plan: &BatchPlan, stats: &IterationStats, evicted_before: usize) {
+        let st = &mut self.state;
+        let Some(rec) = st.recorder.as_mut() else {
+            return;
+        };
+        let clock = st.clock;
+        let evicted = st.kv.blocks_evicted() - evicted_before;
+        if evicted > 0 {
+            rec.record(clock, TraceEventKind::KvEvict { blocks: evicted });
+        }
+        rec.record(
+            clock,
+            TraceEventKind::Iteration {
+                started_at: stats.started_at,
+                duration: stats.duration,
+                hybrid: stats.hybrid,
+                prefill_request: plan.prefill.map(|(rid, _)| rid),
+                chunk: plan.prefill.map_or(0, |(_, c)| c),
+                decodes: plan.decodes.len(),
+                prefill_tokens: stats.prefill_tokens,
+                decode_tokens: stats.decode_tokens,
+                newly_finished: stats.newly_finished,
+            },
+        );
+        if rec.timeline_due(clock) {
+            let mut backlog: BTreeMap<TenantId, usize> = BTreeMap::new();
+            for &r in &st.waiting {
+                *backlog.entry(st.requests[r].spec.tenant).or_insert(0) += 1;
+            }
+            rec.record(
+                clock,
+                TraceEventKind::TimelineSample {
+                    running: st.running.len(),
+                    waiting: st.waiting.len(),
+                    kv_utilization: st.kv.utilization(),
+                    prefill_tokens: stats.prefill_tokens,
+                    decode_tokens: stats.decode_tokens,
+                    tenant_backlog: backlog.into_iter().collect(),
+                },
+            );
+        }
     }
 
     /// Step until this engine can make no progress before simulated time `t`:
@@ -2197,18 +1682,7 @@ impl ServingEngine {
     ///
     /// Panics if a queued request can never fit in the KV cache.
     pub fn run_until_drained(&mut self) {
-        let mut now = self.state.clock;
-        loop {
-            match self.step(now) {
-                IterationOutcome::Ran(stats) => now = stats.completed_at,
-                IterationOutcome::IdleUntil(t) => now = t,
-                IterationOutcome::Drained => break,
-                IterationOutcome::Blocked {
-                    needed_tokens,
-                    capacity_tokens,
-                } => panic_blocked(needed_tokens, capacity_tokens),
-            }
-        }
+        self.advance_to(f64::INFINITY);
     }
 
     /// Snapshot the aggregated report for everything served so far. Valid
@@ -2233,23 +1707,27 @@ impl ServingEngine {
                 st.hybrid_iterations,
             ),
         };
-        report.price_cache_hits = st.cache_hits;
-        report.price_cache_misses = st.cache_misses;
+        report.price_cache_hits = st.prices.hits;
+        report.price_cache_misses = st.prices.misses;
         report.busy_time = st.busy_time;
         report.prefill_tokens_scheduled = st.prefill_tokens_scheduled;
-        report.cached_prefix_tokens = st.cached_prefix_tokens;
-        report.blocks_reused = st.blocks_reused;
-        report.cow_copies = st.cow_copies;
-        report.decode_kv_tokens_deduped = st.decode_kv_tokens_deduped;
-        report.spec_rounds = st.spec_rounds;
-        report.draft_tokens_accepted = st.draft_tokens_accepted;
-        report.draft_tokens_rejected = st.draft_tokens_rejected;
-        report.preemptions = st.preemptions;
+        let kv = &st.kv.counters;
+        report.cached_prefix_tokens = kv.cached_prefix_tokens;
+        report.blocks_reused = kv.blocks_reused;
+        report.cow_copies = kv.cow_copies;
+        report.decode_kv_tokens_deduped = kv.decode_kv_tokens_deduped;
+        report.preemptions = kv.preemptions;
         report.blocks_evicted = st.kv.blocks_evicted();
-        report.migrated_out_requests = st.migrated_out;
-        report.migrated_in_requests = st.migrated_in;
-        report.migrated_tokens = st.migrated_tokens_out;
-        report.migration_stall_time = st.migration_stall_time;
+        if let Some(spec) = &st.spec {
+            report.spec_rounds = spec.rounds;
+            report.draft_tokens_accepted = spec.accepted;
+            report.draft_tokens_rejected = spec.rejected;
+        }
+        let m = &st.migration;
+        report.migrated_out_requests = m.migrated_out;
+        report.migrated_in_requests = m.migrated_in;
+        report.migrated_tokens = m.tokens_out;
+        report.migration_stall_time = m.stall_time;
         report
     }
 
@@ -2268,17 +1746,18 @@ impl ServingEngine {
     /// Panics if a single request can never fit in the KV cache (a
     /// configuration error rather than a load condition).
     pub fn run_detailed(&self, specs: Vec<RequestSpec>) -> (ServingReport, Vec<Request>) {
+        let spec = self.state.spec.clone().map(|spec| Speculation {
+            rounds: 0,
+            accepted: 0,
+            rejected: 0,
+            ..spec
+        });
         let mut engine = ServingEngine {
             config: self.config.clone(),
             cost: self.cost.clone(),
-            draft_cost: self.draft_cost.clone(),
             kv_capacity: self.kv_capacity,
             export_prefills: self.export_prefills,
-            state: EngineState::new(
-                self.kv_capacity,
-                self.config.streaming_metrics,
-                self.config.tracing.as_ref(),
-            ),
+            state: EngineState::new(&self.config, self.kv_capacity, spec),
         };
         for spec in specs {
             engine.submit(spec);
@@ -2295,30 +1774,41 @@ impl ServingEngine {
     }
 }
 
-/// The historical deadlock panic, shared by `run_until_drained` and
-/// `advance_to` so the message stays identical to the closed-world engine's.
+/// The deadlock panic of `advance_to`, kept cold and out of line so the
+/// stepping loop stays small.
+#[cold]
+#[inline(never)]
 fn panic_blocked(needed_tokens: usize, capacity_tokens: usize) -> ! {
     panic!(
         "serving deadlock: a request needs more KV-cache capacity ({needed_tokens} tokens) than the GPU offers ({capacity_tokens} tokens)"
     );
 }
 
+/// The earlier of two optional wake-up times.
+fn earliest(a: Option<f64>, b: Option<f64>) -> Option<f64> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
+}
+
 fn to_hybrid_batch(plan: &BatchPlan, requests: &[Request], dedup_tokens: usize) -> HybridBatch {
-    let prefill = plan.prefill.map(|(rid, chunk)| {
-        let req = &requests[rid];
-        PrefillChunk::new(chunk, req.prefilled)
-    });
-    let decodes = plan
-        .decodes
-        .iter()
-        .map(|&rid| DecodeRequest::new(requests[rid].context_len().max(1)))
-        .collect();
     HybridBatch {
-        prefill,
-        decodes,
+        prefill: plan
+            .prefill
+            .map(|(rid, chunk)| PrefillChunk::new(chunk, requests[rid].prefilled)),
+        decodes: decode_side(plan, requests),
         kv_dedup_tokens: dedup_tokens,
         spec_verify_tokens: plan.spec_tokens,
     }
+}
+
+/// One decode per planned request, at its current context.
+fn decode_side(plan: &BatchPlan, requests: &[Request]) -> Vec<DecodeRequest> {
+    plan.decodes
+        .iter()
+        .map(|&rid| DecodeRequest::new(requests[rid].context_len().max(1)))
+        .collect()
 }
 
 /// One decode's speculative-round outcome, drawn before the mint.
@@ -2331,37 +1821,6 @@ struct SpecOutcome {
     /// Net tokens the round mints: the accepted prefix plus the target's
     /// correction token on the first rejection (`1..=width`).
     minted: usize,
-}
-
-/// Time the draft model spends proposing `spec_k` tokens for each of this
-/// iteration's decodes: `spec_k` decode-only passes of the scaled-down
-/// drafter over the same contexts as the target batch. Zero without a
-/// drafter cost model (autoregressive mode or a free drafter) or without
-/// decodes.
-fn draft_proposal_time(
-    draft_cost: Option<&IterationCostModel>,
-    spec_k: usize,
-    attention: AttentionStrategy,
-    plan: &BatchPlan,
-    requests: &[Request],
-) -> f64 {
-    let Some(cost) = draft_cost else {
-        return 0.0;
-    };
-    if plan.decodes.is_empty() || spec_k == 0 {
-        return 0.0;
-    }
-    let batch = HybridBatch {
-        prefill: None,
-        decodes: plan
-            .decodes
-            .iter()
-            .map(|&rid| DecodeRequest::new(requests[rid].context_len().max(1)))
-            .collect(),
-        kv_dedup_tokens: 0,
-        spec_verify_tokens: 0,
-    };
-    spec_k as f64 * cost.iteration_time(&batch, attention)
 }
 
 /// Apply one iteration's effects to the request lifecycles and queues,
@@ -2422,6 +1881,7 @@ fn apply_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::Priority;
     use crate::workload::{offline_long_context, Workload};
 
     fn llama3() -> ModelConfig {
@@ -2737,6 +2197,34 @@ mod tests {
             report.completed, 1,
             "reassigned requests are not served here"
         );
+    }
+
+    /// A preempted decode waits in the queue without residency, but it
+    /// already minted tokens here and its TTFT is stamped. Draining the
+    /// replica must keep it local: re-routing it would serve it from scratch
+    /// and stamp a second, later TTFT.
+    #[test]
+    fn reclaim_unstarted_keeps_preempted_requests() {
+        let mut config = ServingConfig::sarathi(llama3(), gpu(), 1024).with_paged_kv(false);
+        config.kv_capacity_tokens = Some(18_000);
+        let mut engine = ServingEngine::new(config);
+        for _ in 0..8 {
+            engine.submit(RequestSpec::new(0.0, 2048, 2048));
+        }
+        for _ in 0..209 {
+            engine.step(engine.clock());
+        }
+        let preempted = &engine.requests()[7];
+        assert_eq!(preempted.restarts, 1, "request 7 was preempted");
+        assert_eq!(preempted.generated, 186);
+        assert_eq!(preempted.phase(), Phase::Queued, "it looks unstarted");
+        let first_token = preempted.first_token_time.expect("request 7 started");
+        let reclaimed = engine.reclaim_unstarted();
+        assert!(reclaimed.is_empty(), "every request had started");
+        assert!(!engine.requests()[7].reassigned);
+        engine.run_until_drained();
+        assert_eq!(engine.report().completed, 8);
+        assert_eq!(engine.requests()[7].first_token_time, Some(first_token));
     }
 
     #[test]

@@ -112,19 +112,17 @@ pub use cluster::{
     RouterPolicy, LONG_PREFILL_TOKENS,
 };
 pub use engine::{
-    AdmissionPolicy, FairQueueConfig, IterationOutcome, IterationStats, KvCachePolicy,
-    PrefillHandoff, ServingConfig, ServingEngine,
+    AdmissionPolicy, FairQueueConfig, IterationOutcome, IterationStats, PrefillHandoff,
+    ServingConfig, ServingEngine,
 };
 pub use json::{JsonParseError, JsonValue};
-pub use kvcache::KvCacheManager;
+pub use kvcache::{KvCacheManager, KvCachePolicy};
 pub use linear::{IterationBreakdown, IterationCostModel};
 pub use metrics::{
     percentile, ReportAccumulator, ServingReport, SloClassReport, SummaryStats, TenantReport,
 };
 pub use model::{ModelConfig, ParamCounts};
-pub use request::{
-    Phase, Priority, PromptContent, Request, RequestSpec, RequestSpecBuilder, SloSpec, TenantId,
-};
+pub use request::{Phase, Priority, PromptContent, Request, RequestSpec, SloSpec, TenantId};
 pub use rng::SplitMix64;
 pub use scheduler::{plan_batch, AdmissionDecision, BatchPlan, SchedulerKind};
 pub use sketch::{QuantileSketch, SketchMergeError, DEFAULT_RELATIVE_ERROR};

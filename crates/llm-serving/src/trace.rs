@@ -692,6 +692,20 @@ impl TimelineSummary {
     }
 }
 
+/// Record `kind()` at `t` when tracing is on: the choke point every
+/// instrumentation site goes through, so tracing off is one branch on a
+/// `None` and never builds an event.
+#[inline]
+pub(crate) fn emit(
+    recorder: &mut Option<TraceRecorder>,
+    t: f64,
+    kind: impl FnOnce() -> TraceEventKind,
+) {
+    if let Some(rec) = recorder {
+        rec.record(t, kind());
+    }
+}
+
 /// Per-replica flight recorder: a bounded ring of [`TraceEvent`]s plus the
 /// constant-memory [`TimelineSummary`]. Owned by the engine when tracing is
 /// configured; collected through
